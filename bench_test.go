@@ -49,12 +49,12 @@ func benchSpec() Spec {
 
 // compareAll runs the four policies of the paper's evaluation once.
 func compareAll(b *testing.B) []*Result {
-	b.Helper()
-	results, err := Compare(benchSpec(), AllPolicies(0.9, 42)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return results
+	return compare(b, benchSpec(), StandardPolicies(0.9)...)
+}
+
+// proposedRun runs one Proposed controller on spec's world.
+func proposedRun(b *testing.B, spec Spec, ctl *ProposedController) *Result {
+	return compare(b, spec, NewPolicySpec("Proposed", func(uint64) Policy { return ctl }))[0]
 }
 
 func byName(results []*Result, name string) *Result {
@@ -183,11 +183,8 @@ func BenchmarkFig6EnergyPerformance(b *testing.B) {
 func BenchmarkAblationAlphaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, alpha := range []float64{0.1, 0.9} {
-			res, err := Compare(benchSpec(), Proposed(alpha, 42))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res[0].RespSummary.Max(), "worst-resp-alpha-"+fmtAlpha(alpha))
+			res := proposedRun(b, benchSpec(), Proposed(alpha, 42))
+			b.ReportMetric(res.RespSummary.Max(), "worst-resp-alpha-"+fmtAlpha(alpha))
 		}
 	}
 }
@@ -204,18 +201,12 @@ func fmtAlpha(a float64) string {
 // reduce it).
 func BenchmarkAblationNoEmbedding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		with, err := Compare(benchSpec(), Proposed(0.9, 42))
-		if err != nil {
-			b.Fatal(err)
-		}
+		with := proposedRun(b, benchSpec(), Proposed(0.9, 42))
 		noCtl := Proposed(0.9, 42)
 		noCtl.NoEmbedding = true
-		without, err := Compare(benchSpec(), noCtl)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(with[0].CrossBytes.GB(), "crossGB-with-embedding")
-		b.ReportMetric(without[0].CrossBytes.GB(), "crossGB-no-embedding")
+		without := proposedRun(b, benchSpec(), noCtl)
+		b.ReportMetric(with.CrossBytes.GB(), "crossGB-with-embedding")
+		b.ReportMetric(without.CrossBytes.GB(), "crossGB-no-embedding")
 	}
 }
 
@@ -226,15 +217,12 @@ func BenchmarkAblationQoSSweep(b *testing.B) {
 		for _, q := range []float64{0.90, 0.999} {
 			s := benchSpec()
 			s.QoS = q
-			res, err := Compare(s, Proposed(0.9, 42))
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := proposedRun(b, s, Proposed(0.9, 42))
 			name := "migrations-qos-loose"
 			if q > 0.99 {
 				name = "migrations-qos-tight"
 			}
-			b.ReportMetric(float64(res[0].Migrations), name)
+			b.ReportMetric(float64(res.Migrations), name)
 		}
 	}
 }
@@ -246,15 +234,12 @@ func BenchmarkAblationBatterySweep(b *testing.B) {
 		for _, scale := range []float64{1e-6, 2} {
 			s := benchSpec()
 			s.BatteryScale = scale
-			res, err := Compare(s, Proposed(0.9, 42))
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := proposedRun(b, s, Proposed(0.9, 42))
 			name := "gridKWh-battery-none"
 			if scale > 1 {
 				name = "gridKWh-battery-double"
 			}
-			b.ReportMetric(res[0].GridEnergy.KWh(), name)
+			b.ReportMetric(res.GridEnergy.KWh(), name)
 		}
 	}
 }
@@ -266,15 +251,12 @@ func BenchmarkAblationForecast(b *testing.B) {
 		for _, k := range []ForecastKind{ForecastOracle, ForecastLastValue} {
 			s := benchSpec()
 			s.Forecast = k
-			res, err := Compare(s, Proposed(0.9, 42))
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := proposedRun(b, s, Proposed(0.9, 42))
 			name := "cost-forecast-oracle"
 			if k == ForecastLastValue {
 				name = "cost-forecast-lastvalue"
 			}
-			b.ReportMetric(float64(res[0].OpCost), name)
+			b.ReportMetric(float64(res.OpCost), name)
 		}
 	}
 }
@@ -464,12 +446,12 @@ func benchTraceWorkload() *trace.Workload {
 // BenchmarkCompileStream measures the out-of-core trace pipeline against
 // the in-core compile on the same workload: sub-benchmark "incore" builds
 // the resident fine+profile tables outright; "stream" compiles under a
-// 4 MiB per-table budget and then drives a FineCursor + ProfileCursor
-// across every slot — the simulator's exact access pattern — so the
-// reported throughput covers chunk compilation, not just bookkeeping.
-// Reported: compiled slots per second per variant, the resident table MB
-// of the in-core build, and the streamed window's peak MB (the memory the
-// budget actually bounds).
+// 4 MiB per-table budget and then drives a run's trace.Cursor across
+// every slot — the simulator's exact access pattern — so the reported
+// throughput covers chunk compilation, not just bookkeeping. Reported:
+// compiled slots per second per variant, the resident table MB of the
+// in-core build, and the streamed window's peak MB (the memory the budget
+// actually bounds).
 //
 // When GEOVMP_BENCH_TRACE_JSON names a path, the stream variant writes
 // both throughputs there (CI uploads it as BENCH_trace.json and the
@@ -498,20 +480,16 @@ func BenchmarkCompileStream(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
 			c := trace.Compile(benchTraceWorkload(), budgeted)
-			fineCur := c.NewFineCursor(nil)
-			profCur := c.NewProfileCursor(nil)
-			if fineCur == nil || profCur == nil {
+			if c.FineChunkSlots() == 0 || c.ProfileChunkSlots() == 0 {
 				b.Fatal("4 MiB budget did not chunk the tables")
 			}
+			cur := trace.NewCursor(c, samples, fineStep, nil)
 			chunkSlots = c.FineChunkSlots()
 			for sl := timeutil.Slot(0); sl < c.Slots(); sl++ {
-				fineCur.Advance(sl)
-				profCur.Advance(sl)
-				if wb := fineCur.WindowBytes() + profCur.WindowBytes(); wb > windowPeak {
-					windowPeak = wb
-				}
+				cur.Advance(sl)
+				windowPeak = max(windowPeak, cur.WindowBytes())
 				for _, id := range c.ActiveVMs(sl) {
-					if row := fineCur.FineRow(id, sl); row != nil {
+					if row := cur.FineRow(id, sl); row != nil {
 						sink += row[0]
 					}
 				}

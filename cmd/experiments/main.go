@@ -12,7 +12,7 @@
 //	            [-coordinator host:port] [-checkpoint sweep.ckpt.json]
 //	            [-resume sweep.ckpt.json]
 //	            [-tracedir replaydir | -ingest-vms vms.csv -ingest-cpu cpu.csv]
-//	            [-finebudget bytes] [-chunkslots n]
+//	            [-finebudget bytes]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out] [-trace trace.out]
 //
 // -coordinator runs the sweep distributed: instead of computing cells in
@@ -69,8 +69,7 @@ var (
 	traceDir   = flag.String("tracedir", "", "drive scenarios from this replay trace directory (tracegen -replay format) instead of the synthetic workload")
 	ingestVMs  = flag.String("ingest-vms", "", "drive scenarios from a raw cluster trace: VM lifetime CSV (requires -ingest-cpu)")
 	ingestCPU  = flag.String("ingest-cpu", "", "per-interval CPU utilization CSV paired with -ingest-vms")
-	fineBudget = flag.Int64("finebudget", 0, "resident bytes budget per compiled workload table; over-budget tables stream in chunks (0 = 256 MiB default, negative disables the fine table)")
-	chunkSlots = flag.Int("chunkslots", 0, "pin the streaming-compile chunk width in slots (0 = derive from -finebudget)")
+	fineBudget = flag.Int64("finebudget", 0, "resident bytes budget per compiled workload table; over-budget tables stream in the widest slot windows that fit it (0 = 256 MiB default)")
 
 	coordAddr  = flag.String("coordinator", "", "serve the sweep to geovmp-worker processes on this address (e.g. :8341) instead of computing cells locally")
 	ckptPath   = flag.String("checkpoint", "", "coordinator mode: persist completed cells to this file after every result (resume with -resume)")
@@ -168,9 +167,6 @@ func baseOpts() []geovmp.ScenarioOption {
 	}
 	if *fineBudget != 0 {
 		opts = append(opts, geovmp.WithFineTableBudget(*fineBudget))
-	}
-	if *chunkSlots != 0 {
-		opts = append(opts, geovmp.WithChunkSlots(*chunkSlots))
 	}
 	return opts
 }

@@ -30,7 +30,7 @@ func runGrid(t *testing.T, parallelism int) *ResultSet {
 // TestExperimentParallelEqualsSerialAndLegacy is the tentpole acceptance
 // check: a 2-scenario x 4-policy x 3-seed grid run concurrently returns
 // results in deterministic grid order identical to the serial run, and the
-// cells agree with what the legacy Compare path produces.
+// cells agree with plain single runs of the same world.
 func TestExperimentParallelEqualsSerialAndLegacy(t *testing.T) {
 	serial := runGrid(t, 1)
 	parallel := runGrid(t, 8)
@@ -49,18 +49,21 @@ func TestExperimentParallelEqualsSerialAndLegacy(t *testing.T) {
 		t.Fatal("JSON export not byte-identical between parallelism 1 and 8")
 	}
 
-	// Legacy equivalence: Compare on the matching spec must reproduce the
-	// corresponding grid cells exactly.
-	legacy, err := Compare(
-		Spec{Name: "base", Scale: 0.01, Seed: 6, Horizon: HoursOf(6), FineStepSec: 300},
-		AllPolicies(0.9, 6)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi := range parallel.Policies {
+	// Single-run equivalence: Run over NewScenario reads the raw synthetic
+	// workload through one-slot windows, the engine a compiled column
+	// through its resident tables; every cell must come out the same.
+	for pi, ps := range StandardPolicies(0.9) {
+		sc, err := NewScenario(Spec{Name: "base", Scale: 0.01, Seed: 6, Horizon: HoursOf(6), FineStepSec: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := Run(sc, ps.New(6))
+		if err != nil {
+			t.Fatal(err)
+		}
 		cell := parallel.At(0, pi, 1) // scenario "base", seed 5+1
-		if !reflect.DeepEqual(cell.Result, legacy[pi]) {
-			t.Fatalf("engine cell (base, %s, seed 6) differs from legacy Compare", parallel.Policies[pi])
+		if !reflect.DeepEqual(cell.Result, single) {
+			t.Fatalf("engine cell (base, %s, seed 6) differs from a single Run", parallel.Policies[pi])
 		}
 	}
 }
@@ -213,6 +216,9 @@ func TestGridAndSpecValidation(t *testing.T) {
 	}
 	if _, err := NewScenario(NewSpec("bad-mix-len", WithClassWeights(1, 1))); err == nil {
 		t.Fatal("short class-weight vector did not error")
+	}
+	if _, err := NewScenario(NewSpec("bad-budget", WithFineTableBudget(-1))); err == nil || !strings.Contains(err.Error(), "MaxFineTableBytes") {
+		t.Fatalf("negative fine-table budget: err = %v", err)
 	}
 	if _, err := NewScenario(NewSpec("bad-city", WithSites(
 		Site{Name: "x", Servers: 4, City: "Lisbon"}, // tuned cities are lower-case

@@ -53,14 +53,9 @@
 //
 // Everything is deterministic in the seeds: a sweep's ResultSet — and its
 // JSON export — is byte-identical at any parallelism.
-//
-// Compare, CompareSeeds and AggregateFigure are deprecated shims over the
-// engine, kept for one release for the pre-engine callers.
 package geovmp
 
 import (
-	"context"
-
 	"geovmp/internal/config"
 	"geovmp/internal/core"
 	"geovmp/internal/policy"
@@ -141,35 +136,6 @@ func NewScenario(spec Spec) (*Scenario, error) { return config.Build(spec) }
 // Run simulates pol over sc and returns its metrics.
 func Run(sc *Scenario, pol Policy) (*Result, error) { return sim.Run(sc, pol) }
 
-// Compare evaluates each policy on an identical fresh replica of the
-// scenario described by spec — same workload, same network draws, same
-// initial battery state — and returns the results in input order. Each
-// policy value is run exactly once, so passing the same stateful instance
-// twice is not supported.
-//
-// Deprecated: Compare is a shim over the Experiment engine. Use
-// NewExperiment(WithScenarios(spec), WithPolicies(...)).Run(ctx), which
-// adds parallelism, cancellation, multi-scenario grids and structured
-// results.
-func Compare(spec Spec, pols ...Policy) ([]*Result, error) {
-	if len(pols) == 0 {
-		return []*Result{}, nil
-	}
-	specs := make([]PolicySpec, len(pols))
-	for i, p := range pols {
-		specs[i] = PolicySpec{Name: p.Name(), New: func(uint64) Policy { return p }}
-	}
-	set, err := NewExperiment(WithScenarios(spec), WithPolicies(specs...)).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(pols))
-	for pi := range pols {
-		out[pi] = set.At(0, pi, 0).Result
-	}
-	return out, nil
-}
-
 // AllPolicies returns the paper's four methods in evaluation order:
 // Proposed, Ener-aware, Pri-aware, Net-aware.
 func AllPolicies(alpha float64, seed uint64) []Policy {
@@ -236,22 +202,6 @@ func WindowWorkload(w Workload, startHour int, slots Horizon) Workload {
 	return trace.Window(w, timeutil.Slot(startHour), slots.Slots)
 }
 
-// CompileWorkload materializes any workload into immutable flat per-slot
-// tables — downsampled profiles, fine-step utilization rows, volume entry
-// lists — that the simulator consumes without synthesizing or allocating in
-// its hot loops. samples is the per-slot profile length and fineStepSec the
-// green-controller period the tables are aligned with; pass 0 for the
-// simulator defaults (12 and 5 s).
-//
-// The experiment engine compiles each scenario x seed's workload
-// automatically and shares it across that column's policy runs; call this
-// only to pre-compile a workload you inject with WithWorkload under
-// non-default WithProfileSamples / WithFineStep settings, or to reuse one
-// compiled trace across many experiments.
-func CompileWorkload(w Workload, samples int, fineStepSec float64) Workload {
-	return trace.Compile(w, trace.CompileOptions{Samples: samples, FineStepSec: fineStepSec})
-}
-
 // Figures regenerates the paper's Table I and Figs. 1-6 from a result set
 // produced over sc (or an identical scenario replica).
 func Figures(sc *Scenario, results []*Result) []*Figure {
@@ -269,58 +219,3 @@ type ProposedController = core.Controller
 func EmbeddingSVG(ctrl *ProposedController, title string, groupOf func(id int) int, groups []string) string {
 	return viz.Plane(title, ctrl.Positions(), groupOf, groups)
 }
-
-// CompareSeeds repeats Compare over `seeds` consecutive seeds starting at
-// spec.Seed, building fresh policies per seed via mkPolicies (stateful
-// policies cannot be reused across runs). It returns one result set per
-// seed, ready for AggregateFigure.
-//
-// Deprecated: CompareSeeds is a shim over the Experiment engine. Use
-// NewExperiment(WithScenarios(spec), WithPolicies(...), WithSeeds(n)) and
-// the returned ResultSet, which add parallelism and cancellation.
-func CompareSeeds(spec Spec, seeds int, mkPolicies func(seed uint64) []Policy) ([][]*Result, error) {
-	// Parallelism 1 plus per-seed memoization preserves the legacy
-	// contract exactly: mkPolicies is called once per seed, from one
-	// goroutine at a time, so impure factories behave as they always did.
-	cache := map[uint64][]Policy{}
-	pols := func(seed uint64) []Policy {
-		ps, ok := cache[seed]
-		if !ok {
-			ps = mkPolicies(seed)
-			cache[seed] = ps
-		}
-		return ps
-	}
-	if seeds <= 0 {
-		return nil, nil
-	}
-	protos := pols(spec.Seed)
-	if len(protos) == 0 {
-		out := make([][]*Result, seeds)
-		for k := range out {
-			out[k] = []*Result{}
-		}
-		return out, nil
-	}
-	specs := make([]PolicySpec, len(protos))
-	for i := range protos {
-		specs[i] = PolicySpec{
-			Name: protos[i].Name(),
-			New:  func(seed uint64) Policy { return pols(seed)[i] },
-		}
-	}
-	set, err := NewExperiment(
-		WithScenarios(spec), WithPolicies(specs...), WithSeeds(seeds),
-		WithParallelism(1),
-	).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return set.SeedRuns(set.Scenarios[0]), nil
-}
-
-// AggregateFigure summarizes multi-seed runs into mean +/- std per policy
-// and headline metric.
-//
-// Deprecated: use ResultSet.Aggregate from an Experiment run instead.
-func AggregateFigure(runs [][]*Result) *Figure { return report.Aggregate(runs) }

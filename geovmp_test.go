@@ -1,6 +1,7 @@
 package geovmp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,11 +10,19 @@ func testSpec() Spec {
 	return Spec{Scale: 0.01, Seed: 5, Horizon: HoursOf(8), FineStepSec: 300}
 }
 
-func TestCompareRunsAllPolicies(t *testing.T) {
-	results, err := Compare(testSpec(), AllPolicies(0.9, 5)...)
+// compare runs each policy on its own identical replica of spec's world at
+// spec.Seed and returns the results in policy order.
+func compare(tb testing.TB, spec Spec, pols ...PolicySpec) []*Result {
+	tb.Helper()
+	set, err := NewExperiment(WithScenarios(spec), WithPolicies(pols...)).Run(context.Background())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return set.SeedRuns(set.Scenarios[0])[0]
+}
+
+func TestCompareRunsAllPolicies(t *testing.T) {
+	results := compare(t, testSpec(), StandardPolicies(0.9)...)
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -29,12 +38,11 @@ func TestCompareRunsAllPolicies(t *testing.T) {
 }
 
 func TestCompareIsFairAndDeterministic(t *testing.T) {
-	// Running the same policy twice through Compare must give identical
+	// Running the same policy twice in one experiment must give identical
 	// results: each run gets a fresh identical scenario.
-	results, err := Compare(testSpec(), EnerAware(), EnerAware())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ener := StandardPolicies(0.9)[1]
+	again := NewPolicySpec("Ener-aware again", ener.New)
+	results := compare(t, testSpec(), ener, again)
 	if results[0].OpCost != results[1].OpCost ||
 		results[0].TotalEnergy != results[1].TotalEnergy {
 		t.Fatal("identical policies diverged — scenario replicas are not identical")
@@ -56,10 +64,7 @@ func TestRunSingle(t *testing.T) {
 }
 
 func TestSummarizeAndFigures(t *testing.T) {
-	results, err := Compare(testSpec(), AllPolicies(0.9, 5)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := compare(t, testSpec(), StandardPolicies(0.9)...)
 	sum := Summarize(results)
 	for _, name := range []string{"Proposed", "Ener-aware", "Pri-aware", "Net-aware"} {
 		if !strings.Contains(sum, name) {
@@ -113,10 +118,7 @@ func TestHeadlineShapeHolds(t *testing.T) {
 		t.Skip("shape check needs a longer horizon")
 	}
 	spec := Spec{Scale: 0.03, Seed: 42, Horizon: Days(1), FineStepSec: 300}
-	results, err := Compare(spec, AllPolicies(0.9, 42)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := compare(t, spec, StandardPolicies(0.9)...)
 	prop := results[0]
 	for _, r := range results[1:] {
 		if float64(prop.OpCost) >= float64(r.OpCost) {
@@ -175,12 +177,14 @@ func TestReplayedWorkloadDrivesSimulation(t *testing.T) {
 }
 
 func TestCompareSeedsAndAggregate(t *testing.T) {
-	runs, err := CompareSeeds(testSpec(), 2, func(seed uint64) []Policy {
-		return []Policy{Proposed(0.9, seed), NetAware()}
-	})
+	std := StandardPolicies(0.9)
+	set, err := NewExperiment(
+		WithScenarios(testSpec()), WithPolicies(std[0], std[3]), WithSeeds(2),
+	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := set.SeedRuns(set.Scenarios[0])
 	if len(runs) != 2 || len(runs[0]) != 2 {
 		t.Fatalf("runs shape = %dx%d", len(runs), len(runs[0]))
 	}
@@ -188,7 +192,7 @@ func TestCompareSeedsAndAggregate(t *testing.T) {
 	if runs[0][1].OpCost == runs[1][1].OpCost {
 		t.Fatal("seed increment had no effect")
 	}
-	fig := AggregateFigure(runs)
+	fig := set.Aggregate(set.Scenarios[0])
 	if len(fig.Rows) != 2 {
 		t.Fatalf("aggregate rows = %d", len(fig.Rows))
 	}

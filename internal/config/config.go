@@ -111,12 +111,9 @@ type Spec struct {
 	Templates []trace.UsageTemplate
 	// MaxFineTableBytes bounds each compiled utilization table
 	// (trace.CompileOptions.MaxFineTableBytes): 0 selects the compiler's
-	// 256 MiB default, negative disables the fine table. Tables over the
-	// budget stream through chunk cursors instead of residing in memory.
+	// 256 MiB default; negative is invalid. Tables over the budget stream
+	// through each run's cursor in the widest slot windows that fit it.
 	MaxFineTableBytes int64
-	// FineChunkSlots pins the streamed chunk width in slots for
-	// out-of-core tables (0 derives it from the budget).
-	FineChunkSlots int
 	// Epochs splits the horizon into rolling-horizon re-optimization
 	// epochs: the controllers are signalled at each interior boundary, the
 	// per-epoch migration budget resets, and results carry a per-epoch
@@ -230,6 +227,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Epochs < 0 {
 		return fmt.Errorf("config: negative epoch count %d", s.Epochs)
+	}
+	if s.MaxFineTableBytes < 0 {
+		return fmt.Errorf("config: negative MaxFineTableBytes %d", s.MaxFineTableBytes)
 	}
 	if !(s.ArrivalWave >= 0 && s.ArrivalWave < 1) {
 		return fmt.Errorf("config: ArrivalWave %v outside [0, 1)", s.ArrivalWave)
@@ -462,13 +462,12 @@ func CompileWorkload(spec Spec, workers *par.Budget) (*trace.Compiled, error) {
 	}
 	samples := sim.ResolveProfileSamples(spec.ProfileSamples)
 	if samples == 0 {
-		samples = -1 // resolved "no profiles": tell Compile to skip the table
+		samples = -1 // resolved "no profiles": Compile's 0 would mean its default
 	}
 	return trace.Compile(w, trace.CompileOptions{
 		Samples:           samples,
 		FineStepSec:       sim.ResolveFineStep(spec.FineStepSec),
 		MaxFineTableBytes: spec.MaxFineTableBytes,
-		ChunkSlots:        spec.FineChunkSlots,
 		Workers:           workers,
 	}), nil
 }

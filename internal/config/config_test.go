@@ -180,15 +180,12 @@ func TestReplayDirSpecDrivesWorkload(t *testing.T) {
 func TestFineBudgetSpecReachesCompile(t *testing.T) {
 	spec := NewSpec("budgeted",
 		WithScale(0.01), WithSeed(2), WithHorizon(timeutil.Hours(4)),
-		WithFineStep(300), WithFineTableBudget(1), WithChunkSlots(2))
+		WithFineStep(300), WithFineTableBudget(1))
 	c, err := CompileWorkload(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.FineChunked() {
-		t.Fatal("1-byte budget did not chunk the fine table")
-	}
-	if got := c.FineChunkSlots(); got != 2 {
-		t.Fatalf("pinned chunk width = %d, want 2", got)
+	if got := c.FineChunkSlots(); got != 1 {
+		t.Fatalf("1-byte budget chunk width = %d, want 1", got)
 	}
 }

@@ -249,16 +249,13 @@ func WithUsageTemplates(ts ...trace.UsageTemplate) Option {
 }
 
 // WithFineTableBudget bounds each compiled utilization table in bytes;
-// tables over the budget stream through chunk cursors instead of residing
-// in memory (trace.CompileOptions.MaxFineTableBytes; negative disables the
-// fine table).
+// tables over the budget stream through each run's cursor in bounded slot
+// windows instead of residing in memory
+// (trace.CompileOptions.MaxFineTableBytes; 0 keeps the default, negative
+// fails validation).
 func WithFineTableBudget(bytes int64) Option {
 	return func(s *Spec) { s.MaxFineTableBytes = bytes }
 }
-
-// WithChunkSlots pins the streamed chunk width in slots for out-of-core
-// compiled tables (0 derives it from the budget).
-func WithChunkSlots(n int) Option { return func(s *Spec) { s.FineChunkSlots = n } }
 
 // WithWorkload installs a pre-built workload (for example a replayed
 // trace) instead of the synthetic generator. The source must be safe for

@@ -166,7 +166,7 @@ func TestChunkedColumnsSharedAndIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !col.src.FineChunked() {
+		if col.src.FineChunkSlots() == 0 {
 			t.Fatal("column's fine table is not chunked under a 1-byte budget")
 		}
 		columns[chunked.Seed+off] = col

@@ -16,11 +16,13 @@
 // for every policy (all randomness is seed-derived), so metric differences
 // are attributable to placement alone — the paper's comparison setup.
 //
-// The hot loops are allocation-free in steady state: per-slot containers
-// (profile sets, volume matrices, placement buffers) are reused across
-// slots, and when the workload is a compiled trace (trace.Compile) the
-// per-step utilization reads become slice indexing instead of trace
-// synthesis.
+// Each slot reads the VMs' observed profiles and fine-step utilizations
+// through one trace.Cursor — shared resident rows for a compiled trace
+// (trace.Compile), per-run windows otherwise — and prices the IT power at
+// the site's PUE and PV from one Environment table, compiled by the run
+// when the scenario carries none. The hot loops are allocation-free in
+// steady state: per-slot containers (profile sets, volume matrices,
+// placement buffers) are reused across slots.
 package sim
 
 import (
@@ -128,10 +130,10 @@ type Scenario struct {
 	// Setting any field activates the engine even at Epochs <= 1.
 	Migration MigrationBudget
 	// Env optionally supplies the fleet's precomputed PUE / renewable / PV
-	// series (CompileEnvironment). Runs whose horizon and fine step the
-	// table covers read it instead of re-evaluating the site models; a
-	// mismatched or nil table is ignored. The experiment engine shares one
-	// per scenario x seed.
+	// series (CompileEnvironment). A run reads the site models only
+	// through such a table: when Env is nil or does not cover the run's
+	// fleet, horizon and fine step, the run compiles its own. The
+	// experiment engine shares one per scenario x seed.
 	Env *Environment
 	// Workers optionally lends the run extra goroutines for its sharded
 	// passes (the fine-plan evaluation, and the controller's embedding and
@@ -296,28 +298,12 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	net := network.NewState(sc.Topo, rng.New(sc.Seed).Derive("network"))
 	constraint := (1 - sc.QoS) * timeutil.SlotSeconds
 
-	// Compiled fast paths: profile rows shared without copying when the
-	// sampling matches, and fine-step utilization rows when the fine table
-	// matches the scenario's step. Out-of-core tables serve the same rows
-	// through per-run chunk cursors, advanced once per slot below; the
-	// streamed values are byte-identical to the resident tables'.
-	compiled, _ := w.(*trace.Compiled)
-	useProfiles := compiled != nil && compiled.Samples() == sc.ProfileSamples
-	fineSteps := 0
-	var fineCur *trace.FineCursor
-	var profCur *trace.ProfileCursor
-	if compiled != nil {
-		if dt, steps := compiled.FineParams(); steps > 0 && dt == sc.FineStepSec {
-			fineSteps = steps
-			fineCur = compiled.NewFineCursor(sc.Workers)
-		}
-		if useProfiles {
-			profCur = compiled.NewProfileCursor(sc.Workers)
-		}
-	}
+	// Profile and fine-step rows come from one cursor, advanced once per
+	// slot below; PUE and PV from one environment table.
+	rows := trace.NewCursor(w, sc.ProfileSamples, sc.FineStepSec, sc.Workers)
 	env := sc.Env
 	if !env.matches(fleet, sc.Horizon.Slots, sc.FineStepSec) {
-		env = nil
+		env = CompileEnvironment(fleet, sc.Horizon, sc.FineStepSec, sc.Workers)
 	}
 
 	res := &Result{
@@ -370,10 +356,7 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 	for i := range vol {
 		vol[i] = make([]units.DataSize, n)
 	}
-	var fine *finePlan
-	if fineSteps > 0 {
-		fine = newFinePlan(n, fineSteps, sc.FineStepSec)
-	}
+	fine := newFinePlan(n, env.steps)
 	// Rolling-horizon engine state; nil on the static path, which must stay
 	// byte-identical to the pre-epoch simulator.
 	epoch := newEpochRun(sc, n)
@@ -420,28 +403,14 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 		if sl > 0 {
 			obsSlot = sl - 1
 		}
+		rows.Advance(sl)
 		ps.Reset()
-		if useProfiles {
-			if profCur != nil {
-				profCur.Advance(obsSlot)
+		for _, id := range ids {
+			row := rows.ProfileRow(id, obsSlot)
+			if row == nil {
+				return nil, fmt.Errorf("sim: no profile row for active VM %d at slot %d", id, obsSlot)
 			}
-			for _, id := range ids {
-				var row []float64
-				if profCur != nil {
-					row = profCur.ProfileRow(id, obsSlot)
-				} else {
-					row = compiled.ProfileRow(id, obsSlot)
-				}
-				if row != nil {
-					ps.Add(id, row)
-				} else {
-					ps.Add(id, w.SlotProfile(id, obsSlot, sc.ProfileSamples))
-				}
-			}
-		} else {
-			for _, id := range ids {
-				ps.Add(id, w.SlotProfile(id, obsSlot, sc.ProfileSamples))
-			}
+			ps.Add(id, row)
 		}
 		dm.Reset()
 		for _, e := range w.PlannedVolumes(obsSlot, sl) {
@@ -507,47 +476,23 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 			allocs[i].reset(a)
 		}
 
-		// Fine loop over [sl, sl+1). With a compiled trace the per-step IT
-		// power is evaluated in one vectorized pass over the fine rows;
-		// otherwise each step synthesizes utilizations on demand. Both
-		// paths accumulate in the same order, so results are identical.
-		if fine != nil {
-			var rows trace.FineRows = compiled
-			if fineCur != nil {
-				fineCur.Advance(sl)
-				rows = fineCur
-			}
-			fine.evaluate(rows, compiled, fleet, allocs, sl, sc.Workers)
+		// Fine loop over [sl, sl+1): the per-step IT power is evaluated in
+		// one vectorized pass over the fine rows.
+		if err := fine.evaluate(rows, fleet, allocs, sl, sc.Workers); err != nil {
+			return nil, err
 		}
 		clear(slotEnergy)
 		var slotCost units.Money
 		dt := sc.FineStepSec
 		start := sl.Seconds()
-		envBase := 0
-		if env != nil {
-			envBase = int(sl) * env.steps
-		}
+		envBase := int(sl) * env.steps
 		k := 0
 		for t := 0.0; t < timeutil.SlotSeconds; t += dt {
 			at := start + t
-			step := timeutil.Step(int64(at) / timeutil.StepSeconds)
 			for i, d := range fleet {
-				var it units.Power
-				var throttled float64
-				if fine != nil {
-					it, throttled = fine.itPower[i][k], fine.throttled[i][k]
-				} else {
-					it, throttled = allocs[i].itPowerAt(w, d, step)
-				}
-				var pue float64
-				var renew units.Power
-				if env != nil {
-					pue = env.pue[i][envBase+k]
-					renew = env.renew[i][envBase+k]
-				} else {
-					pue = d.Cooling.PUEAt(at)
-					renew = d.Plant.PowerAt(at)
-				}
+				it, throttled := fine.itPower[i][k], fine.throttled[i][k]
+				pue := env.pue[i][envBase+k]
+				renew := env.renew[i][envBase+k]
 				if fr != nil {
 					// PV dropout: the plant produces, the DC cannot take it.
 					renew = units.Power(float64(renew) * fr.pv[i])
@@ -645,12 +590,7 @@ func RunCtx(ctx context.Context, sc *Scenario, pol policy.Policy) (*Result, erro
 
 		// Learn: forecasters see the slot's realized PV intake.
 		for i, d := range fleet {
-			pvE := units.Energy(0)
-			if env != nil {
-				pvE = env.pv[i][sl]
-			} else {
-				pvE = d.Plant.SlotEnergy(sl)
-			}
+			pvE := env.pv[i][sl]
 			if fr != nil {
 				pvE = units.Energy(float64(pvE) * fr.pv[i])
 			}
@@ -706,44 +646,22 @@ func (v *allocView) reset(a alloc.Result) {
 	}
 }
 
-// itPowerAt returns the DC's IT power at the fine step plus the throttled
-// demand (reference cores beyond the packed servers' capacity) — the
-// synthesize-on-demand path for non-compiled workloads.
-func (v *allocView) itPowerAt(w trace.Source, d *dc.DC, step timeutil.Step) (units.Power, float64) {
-	var total units.Power
-	var throttled float64
-	for _, srv := range v.servers {
-		var load float64
-		for _, id := range srv.vms {
-			load += w.Util(id, step)
-		}
-		capS := d.Model.Capacity(srv.level)
-		if load > capS {
-			throttled += load - capS
-		}
-		total += d.Model.Power(srv.level, load)
-	}
-	return total, throttled
-}
-
 // finePlan holds the per-DC per-step IT power and throttled demand of one
-// slot, evaluated in a single pass over the compiled utilization rows. The
-// buffers are reused across slots; the per-server load scratch lives in a
-// pool because the per-DC evaluations may run on concurrent shards.
+// slot, evaluated in a single pass over the cursor's fine rows. The buffers
+// are reused across slots; the per-server load scratch lives in a pool
+// because the per-DC evaluations may run on concurrent shards.
 type finePlan struct {
-	steps     int
-	dt        float64
 	itPower   [][]units.Power // [dc][step]
 	throttled [][]float64     // [dc][step]
+	missing   []int           // [dc]: a VM without a fine row, or -1
 	srvLoad   sync.Pool       // *[]float64, [step] scratch for one server
 }
 
-func newFinePlan(n, steps int, dt float64) *finePlan {
+func newFinePlan(n, steps int) *finePlan {
 	p := &finePlan{
-		steps:     steps,
-		dt:        dt,
 		itPower:   make([][]units.Power, n),
 		throttled: make([][]float64, n),
+		missing:   make([]int, n),
 	}
 	p.srvLoad.New = func() any {
 		buf := make([]float64, steps)
@@ -757,13 +675,14 @@ func newFinePlan(n, steps int, dt float64) *finePlan {
 }
 
 // evaluate fills the plan for slot sl. Per server it accumulates the member
-// VMs' fine rows — read from rows, the resident table or a chunk cursor
-// positioned on sl — then folds capacity and the power model per step: the
-// same additions in the same order as the per-step itPowerAt path, so the
-// two produce bit-identical results. DCs are sharded over the run's worker
-// budget: each shard writes only its own DCs' rows, so any worker count
-// produces the serial result.
-func (p *finePlan) evaluate(rows trace.FineRows, c *trace.Compiled, fleet dc.Fleet, allocs []allocView, sl timeutil.Slot, workers *par.Budget) {
+// VMs' fine rows, then folds capacity and the power model per step. DCs are
+// sharded over the run's worker budget: each shard writes only its own
+// DCs' rows, so any worker count produces the serial result. An allocated
+// VM without a fine row is an error.
+func (p *finePlan) evaluate(rows *trace.Cursor, fleet dc.Fleet, allocs []allocView, sl timeutil.Slot, workers *par.Budget) error {
+	for i := range p.missing {
+		p.missing[i] = -1
+	}
 	par.For(workers, len(fleet), 1, func(lo, hi int) {
 		buf := p.srvLoad.Get().(*[]float64)
 		load := *buf
@@ -779,17 +698,8 @@ func (p *finePlan) evaluate(rows trace.FineRows, c *trace.Compiled, fleet dc.Fle
 				for _, id := range srv.vms {
 					row := rows.FineRow(id, sl)
 					if row == nil {
-						// A VM the table does not cover (a policy allocating
-						// a never-active id): read the source at the exact
-						// steps the fine loop derives.
-						start := sl.Seconds()
-						k := 0
-						for t := 0.0; t < timeutil.SlotSeconds; t += p.dt {
-							step := timeutil.Step(int64(start+t) / timeutil.StepSeconds)
-							load[k] += c.Util(id, step)
-							k++
-						}
-						continue
+						p.missing[i] = id
+						return
 					}
 					for k := range load {
 						load[k] += row[k]
@@ -805,4 +715,10 @@ func (p *finePlan) evaluate(rows trace.FineRows, c *trace.Compiled, fleet dc.Fle
 			}
 		}
 	})
+	for _, id := range p.missing {
+		if id >= 0 {
+			return fmt.Errorf("sim: no fine row for allocated VM %d at slot %d", id, sl)
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"geovmp/internal/config"
@@ -9,13 +10,14 @@ import (
 	"geovmp/internal/policy"
 	"geovmp/internal/sim"
 	"geovmp/internal/timeutil"
+	"geovmp/internal/trace"
 )
 
 // budgetScenario builds the tiny test world over a *compiled* workload
-// with an explicit fine-table budget / chunk width — Build leaves the raw
-// synthetic workload in place, so the compile is explicit here, exactly
-// like the experiment engine's column compile.
-func budgetScenario(t *testing.T, seed uint64, budget int64, chunkSlots int) *sim.Scenario {
+// with an explicit fine-table budget — Build leaves the raw synthetic
+// workload in place, so the compile is explicit here, exactly like the
+// experiment engine's column compile.
+func budgetScenario(t *testing.T, seed uint64, budget int64) (*sim.Scenario, *trace.Compiled) {
 	t.Helper()
 	spec := config.Spec{
 		Scale:             0.01,
@@ -23,7 +25,6 @@ func budgetScenario(t *testing.T, seed uint64, budget int64, chunkSlots int) *si
 		Horizon:           timeutil.Hours(8),
 		FineStepSec:       300,
 		MaxFineTableBytes: budget,
-		FineChunkSlots:    chunkSlots,
 	}
 	sc, err := config.Build(spec)
 	if err != nil {
@@ -33,31 +34,38 @@ func budgetScenario(t *testing.T, seed uint64, budget int64, chunkSlots int) *si
 	if err != nil {
 		t.Fatal(err)
 	}
-	if budget > 0 && !c.FineChunked() {
-		t.Fatal("positive budget did not chunk the fine table")
-	}
 	sc.Workload = c
-	return sc
+	return sc, c
 }
 
 // TestChunkedRunBitIdentical is the out-of-core acceptance property: a run
 // whose compiled tables stream through bounded chunk windows must produce
 // a Result byte-identical to the unbounded in-core run — same costs, same
 // energy, same response samples, same migration trace — for every policy
-// family and several chunk widths.
+// family and several chunk widths. The budgets derive widths of one slot,
+// of slots that do not divide the 8-slot horizon, and of a divisor.
 func TestChunkedRunBitIdentical(t *testing.T) {
 	pols := func(seed uint64) []policy.Policy {
 		return []policy.Policy{core.New(0.9, seed), policy.EnerAware{}, policy.NetAware{}}
 	}
-	for _, chunk := range []int{0, 1, 3} {
+	_, full := budgetScenario(t, 31, 0)
+	fineBytes, _ := full.TableBytes()
+	widths := map[int]bool{}
+	for _, budget := range []int64{1, fineBytes / 3, fineBytes / 2} {
+		_, c := budgetScenario(t, 31, budget)
+		chunk := c.FineChunkSlots()
+		if chunk == 0 {
+			t.Fatalf("budget %d did not chunk the fine table", budget)
+		}
+		widths[chunk] = true
 		for pi := range pols(31) {
-			want, err := sim.Run(budgetScenario(t, 31, 0, 0), pols(31)[pi])
+			sc, _ := budgetScenario(t, 31, 0)
+			want, err := sim.Run(sc, pols(31)[pi])
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A 1-byte budget forces both the fine and the profile tables
-			// out of core.
-			got, err := sim.Run(budgetScenario(t, 31, 1, chunk), pols(31)[pi])
+			sc, _ = budgetScenario(t, 31, budget)
+			got, err := sim.Run(sc, pols(31)[pi])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,24 +76,45 @@ func TestChunkedRunBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	if len(widths) < 3 || !widths[1] || !widths[3] {
+		t.Fatalf("budgets derived widths %v, want three including 1 and 3", widths)
+	}
 }
 
-// TestChunkedRunDisabledFineTable pins the legacy escape hatch: a negative
-// budget still runs (no fine table at all, per-step fallback) and stays
-// deterministic.
-func TestChunkedRunDisabledFineTable(t *testing.T) {
-	a, err := sim.Run(budgetScenario(t, 7, -1, 0), policy.EnerAware{})
-	if err != nil {
-		t.Fatal(err)
+// flickerSource answers ActiveVMs differently on every call: the slot's
+// VMs on even calls, one VM more on odd calls.
+type flickerSource struct {
+	trace.Source
+	calls int
+}
+
+func (f *flickerSource) ActiveVMs(sl timeutil.Slot) []int {
+	f.calls++
+	ids := f.Source.ActiveVMs(sl)
+	if f.calls%2 == 0 {
+		return ids
 	}
-	b, err := sim.Run(budgetScenario(t, 7, -1, 0), policy.EnerAware{})
-	if err != nil {
-		t.Fatal(err)
+	seen := map[int]bool{}
+	for _, id := range ids {
+		seen[id] = true
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("disabled-fine-table run not deterministic")
+	for id := 0; id < f.Source.NumVMs(); id++ {
+		if !seen[id] {
+			return append(append([]int(nil), ids...), id)
+		}
 	}
-	if a.TotalEnergy <= 0 {
-		t.Fatal("disabled-fine-table run consumed no energy")
+	return ids
+}
+
+// TestMissingRowIsAnError asserts a VM the run's rows do not cover — here
+// one a flickering source reports active only to the simulator — fails
+// the run with an error naming the VM and slot instead of being read
+// behind the cursor's back.
+func TestMissingRowIsAnError(t *testing.T) {
+	sc, _ := budgetScenario(t, 31, 0)
+	sc.Workload = &flickerSource{Source: sc.Workload}
+	_, err := sim.Run(sc, policy.EnerAware{})
+	if err == nil || !strings.Contains(err.Error(), "no profile row for active VM") || !strings.Contains(err.Error(), "at slot 0") {
+		t.Fatalf("err = %v, want a missing-row error at slot 0", err)
 	}
 }

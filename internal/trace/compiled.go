@@ -11,7 +11,8 @@ import (
 // consumes entirely from the compiled tables.
 type CompileOptions struct {
 	// Samples is the per-slot downsampled profile length (default 12, the
-	// simulator's ProfileSamples default; negative compiles no profiles).
+	// simulator's ProfileSamples default; negative compiles zero-sample
+	// profiles).
 	Samples int
 	// FineStepSec is the green-controller period the per-slot utilization
 	// rows are sampled at (default 5 s, the paper's). The rows reproduce the
@@ -19,18 +20,13 @@ type CompileOptions struct {
 	// k-th iteration of `for t := 0.0; t < 3600; t += FineStepSec`.
 	FineStepSec float64
 	// MaxFineTableBytes bounds each resident utilization table — fine
-	// steps and per-slot profiles alike (default 256 MiB; negative
-	// disables the fine table entirely and keeps the legacy
-	// always-resident profiles). A table that would exceed the budget is
-	// not skipped: it is compiled out-of-core, streamed in fixed
-	// slot-range chunks through a FineCursor/ProfileCursor so peak memory
-	// is bounded by one chunk window while the values stay byte-identical
-	// to the in-core path. Volumes always materialize.
+	// steps and per-slot profiles alike (non-positive selects the 256 MiB
+	// default). A table that would exceed the budget is not skipped: it is
+	// compiled out-of-core, streamed through each run's Cursor in windows
+	// of the widest slot range whose peak fits the budget, so peak memory
+	// is bounded by one window while the values stay byte-identical to the
+	// in-core path. Volumes always materialize.
 	MaxFineTableBytes int64
-	// ChunkSlots overrides the streamed chunk width in slots for tables
-	// that exceed MaxFineTableBytes. Zero derives the widest window whose
-	// peak resident bytes fit the budget (at least one slot).
-	ChunkSlots int
 	// Workers optionally lends extra goroutines to the compilation: the
 	// per-VM fine and profile tables and the per-slot volume lists are
 	// sharded (each shard writes disjoint rows) and the active-window scan
@@ -44,13 +40,16 @@ type CompileOptions struct {
 const defaultMaxFineTableBytes = 256 << 20
 
 func (o *CompileOptions) applyDefaults() {
-	if o.Samples == 0 {
+	switch {
+	case o.Samples == 0:
 		o.Samples = 12
+	case o.Samples < 0:
+		o.Samples = 0
 	}
 	if o.FineStepSec <= 0 {
 		o.FineStepSec = timeutil.StepSeconds
 	}
-	if o.MaxFineTableBytes == 0 {
+	if o.MaxFineTableBytes <= 0 {
 		o.MaxFineTableBytes = defaultMaxFineTableBytes
 	}
 }
@@ -62,38 +61,34 @@ func (o *CompileOptions) applyDefaults() {
 // and is safe for any number of concurrent readers — the experiment engine
 // compiles a workload once per scenario x seed and shares it across every
 // policy run of that cell column, so policies pay the synthesis cost once
-// instead of once per run.
+// instead of once per run. Runs read the rows through a Cursor.
 //
 // Memory is proportional to active VM-slots: profiles cost
 // Samples x 8 bytes per VM-slot and the fine table FineSteps x 8 bytes per
-// VM-slot (bounded by CompileOptions.MaxFineTableBytes).
+// VM-slot (each bounded by CompileOptions.MaxFineTableBytes).
 type Compiled struct {
 	src     Source
 	slots   timeutil.Slot
 	numVMs  int
 	samples int
 	dt      float64
-	steps   int // fine steps per slot; 0 when the fine table is absent
 
 	images []units.DataSize
 
-	profStart []timeutil.Slot
-	prof      [][]float64 // per VM, rows flattened at samples per slot
-
-	fineStart []timeutil.Slot
-	fine      [][]float64 // per VM, rows flattened at steps per slot
+	// Resident tables: one window each over the whole horizon, nil when the
+	// table is streamed. Filled here, then only read.
+	fine, prof *window
 
 	vols    [][]VolumeEntry // realized, per slot
 	planned [][]VolumeEntry // PlannedVolumes(obsSlot(sl), sl), per slot
 
-	// Out-of-core state. fineChunk/profChunk are the streamed chunk
-	// widths in slots for tables that exceeded the budget (0 when the
-	// table is resident or absent); cursors compile windows on demand
-	// from the retained active windows and step lists.
+	// Out-of-core state. fineChunk/profChunk are the streamed window
+	// widths in slots for tables that exceeded the budget (0 when
+	// resident); cursors fill windows on demand from the per-VM active
+	// windows.
 	fineChunk   int
 	profChunk   int
-	first, last []timeutil.Slot   // per-VM active windows (chunked modes)
-	stepsBySlot [][]timeutil.Step // fine-loop step lists (chunked fine)
+	first, last []timeutil.Slot
 
 	// Footprints recorded for the already-compiled fast path: what the
 	// full tables would cost resident, and the peak one-slot cost that
@@ -169,11 +164,11 @@ func profileToFine(stepsBySlot [][]timeutil.Step, samples int) [][]int {
 // Compile materializes src into flat per-slot tables. Compiling an already
 // compiled trace with compatible options — including the fine-table
 // configuration, so a budget-capped table is never handed to a caller that
-// asked for a larger or unbounded one — returns it unchanged.
+// asked for a larger one — returns it unchanged.
 func Compile(src Source, opt CompileOptions) *Compiled {
 	opt.applyDefaults()
 	if c, ok := src.(*Compiled); ok {
-		if c.samples == opt.Samples && c.dt == opt.FineStepSec && c.tablesCompatible(opt) {
+		if c.samples == opt.Samples && c.dt == opt.FineStepSec && c.tablesCompatible(opt.MaxFineTableBytes) {
 			return c
 		}
 		src = c.src // recompile from the original source
@@ -233,15 +228,14 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 			last[id] = w.last[id]
 		}
 	})
+	// Cursors of streamed tables lay their windows out from these.
+	c.first, c.last = first, last
+	actCover, obsCover := covers(first, last)
 
-	// Fine-step utilization rows over each VM's active window, within the
-	// memory budget. The per-slot step lists are hoisted out of the per-VM
-	// loop; they replicate the simulator's fine loop bit-for-bit,
-	// including its floating-point time accumulation. Past the budget the
-	// table goes out-of-core: the active windows and step lists are
-	// retained and a FineCursor compiles slot-range chunks on demand.
+	// Footprints: what each full table costs resident, and its peak
+	// one-slot cost (most VM windows overlapping any one slot).
 	steps := fineStepsPerSlot(c.dt)
-	var winPeak int64 // most VM windows overlapping any one slot
+	var winPeak int64
 	{
 		diff := make([]int64, slots+1)
 		for id := 0; id < c.numVMs; id++ {
@@ -253,117 +247,58 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 		var run int64
 		for _, d := range diff {
 			run += d
-			if run > winPeak {
-				winPeak = run
-			}
+			winPeak = max(winPeak, run)
 		}
 	}
 	for id := 0; id < c.numVMs; id++ {
 		if first[id] >= 0 {
 			c.fineBytes += int64(last[id]-first[id]+1) * int64(steps) * 8
+			c.profBytes += int64(obsSlot(last[id])-obsSlot(first[id])+1) * int64(c.samples) * 8
 		}
 	}
 	c.fineSlotPeak = winPeak * int64(steps) * 8
-	if opt.MaxFineTableBytes > 0 {
-		stepsBySlot := make([][]timeutil.Step, slots)
-		for sl := timeutil.Slot(0); sl < c.slots; sl++ {
-			row := make([]timeutil.Step, 0, steps)
-			start := sl.Seconds()
-			for t := 0.0; t < timeutil.SlotSeconds; t += c.dt {
-				row = append(row, timeutil.Step(int64(start+t)/timeutil.StepSeconds))
-			}
-			stepsBySlot[sl] = row
-		}
-		c.steps = steps
-		c.stepsBySlot = stepsBySlot
-		if c.fineBytes <= opt.MaxFineTableBytes {
-			c.fineStart = make([]timeutil.Slot, c.numVMs)
-			c.fine = make([][]float64, c.numVMs)
-			// Each VM owns its rows — disjoint writes, so the sharded fill
-			// is byte-identical to the serial one.
-			par.For(opt.Workers, c.numVMs, vmRowGrain, func(lo, hi int) {
-				for id := lo; id < hi; id++ {
-					if first[id] < 0 {
-						continue
-					}
-					c.fineStart[id] = first[id]
-					rows := make([]float64, int(last[id]-first[id]+1)*steps)
-					c.fine[id] = rows
-					for sl := first[id]; sl <= last[id]; sl++ {
-						row := rows[int(sl-first[id])*steps:]
-						for k, step := range stepsBySlot[sl] {
-							row[k] = src.Util(id, step)
-						}
-					}
-				}
-			})
-		} else {
-			c.fineChunk = chunkWidth(opt, c.fineSlotPeak, c.slots)
-		}
+	c.profSlotPeak = winPeak * int64(c.samples) * 8
+
+	// Fine-step utilization rows over each VM's active window, within the
+	// memory budget; past it the table goes out-of-core and each run's
+	// Cursor fills chunk windows on demand.
+	if c.fineBytes <= opt.MaxFineTableBytes {
+		c.fine = newWindow(c.numVMs, steps)
+		c.fine.layout(0, c.slots, actCover)
+		c.fine.fill(opt.Workers, fillFine(src, 0, c.slots, c.dt))
+	} else {
+		c.fineChunk = chunkWidth(opt.MaxFineTableBytes, c.fineSlotPeak, c.slots)
 	}
-	// Window slices are tiny (two slots per VM); cursors need them, and
-	// the fast path consults the recorded footprints.
-	c.first, c.last = first, last
 
 	// Profiles: the controller acting at sl observes obsSlot(sl), so a VM
-	// active over [first, last] needs rows for [max(0, first-1), last-1]
-	// (slot 0 observes itself, which that window covers). Where the
-	// profile's sampling grid is a subset of a compiled fine row's — the
-	// common case for the synthetic workload, whose profiles are Util
-	// sampled at strided steps — the row is assembled from the fine table
-	// instead of re-synthesizing the trace.
-	if c.samples > 0 {
-		for id := 0; id < c.numVMs; id++ {
-			if first[id] >= 0 {
-				c.profBytes += int64(obsSlot(last[id])-obsSlot(first[id])+1) * int64(c.samples) * 8
-			}
+	// active over [first, last] needs rows for [obsSlot(first),
+	// obsSlot(last)]. Where the profile's sampling grid is a subset of a
+	// resident fine row's — the common case for the synthetic workload,
+	// whose profiles are Util sampled at strided steps — the row is
+	// assembled from the fine table instead of re-synthesizing the trace.
+	if c.profBytes <= opt.MaxFineTableBytes {
+		c.prof = newWindow(c.numVMs, c.samples)
+		c.prof.layout(0, c.slots, obsCover)
+		fill := fillProfile(src)
+		var profToFine [][]int
+		if _, utilSampled := src.(*Workload); utilSampled && c.fine != nil && c.samples > 0 {
+			profToFine = profileToFine(fineSteps(0, c.slots, c.dt), c.samples)
 		}
-		c.profSlotPeak = winPeak * int64(c.samples) * 8
-		switch {
-		case opt.MaxFineTableBytes > 0 && c.profBytes > opt.MaxFineTableBytes:
-			// Out-of-core: a ProfileCursor synthesizes chunk windows on
-			// demand; rows come out byte-identical because both paths
-			// evaluate the source's profile at the same sample steps.
-			c.profChunk = chunkWidth(opt, c.profSlotPeak, c.slots)
-		default:
-			filler, _ := src.(slotProfileFiller)
-			var profToFine [][]int
-			if _, utilSampled := src.(*Workload); utilSampled && c.fine != nil {
-				profToFine = profileToFine(c.stepsBySlot, c.samples)
-			}
-			c.profStart = make([]timeutil.Slot, c.numVMs)
-			c.prof = make([][]float64, c.numVMs)
-			// Per-VM rows again; the fine table above is complete before
-			// this pass starts, so its reads are safe from any shard.
-			par.For(opt.Workers, c.numVMs, vmRowGrain, func(lo, hi int) {
-				for id := lo; id < hi; id++ {
-					if first[id] < 0 {
-						continue
+		// The fine table above is complete before this pass starts, so its
+		// reads are safe from any shard.
+		c.prof.fill(opt.Workers, func(id int, sl timeutil.Slot, row []float64) {
+			if profToFine != nil && profToFine[sl] != nil {
+				if fr := c.fine.row(id, sl); fr != nil {
+					for i, k := range profToFine[sl] {
+						row[i] = fr[k]
 					}
-					start := obsSlot(first[id])
-					end := obsSlot(last[id])
-					c.profStart[id] = start
-					rows := make([]float64, int(end-start+1)*c.samples)
-					c.prof[id] = rows
-					for sl := start; sl <= end; sl++ {
-						row := rows[int(sl-start)*c.samples : int(sl-start+1)*c.samples]
-						if profToFine != nil && profToFine[sl] != nil {
-							if fr := c.FineRow(id, sl); fr != nil {
-								for i, k := range profToFine[sl] {
-									row[i] = fr[k]
-								}
-								continue
-							}
-						}
-						if filler != nil {
-							filler.FillSlotProfile(row, id, sl)
-						} else {
-							copy(row, src.SlotProfile(id, sl, c.samples))
-						}
-					}
+					return
 				}
-			})
-		}
+			}
+			fill(id, sl, row)
+		})
+	} else {
+		c.profChunk = chunkWidth(opt.MaxFineTableBytes, c.profSlotPeak, c.slots)
 	}
 
 	// Volume entry lists, realized and planned. Slot 0's planned list is
@@ -381,52 +316,26 @@ func Compile(src Source, opt CompileOptions) *Compiled {
 }
 
 // chunkWidth sizes the streamed window of an out-of-core table: the widest
-// slot range whose peak resident bytes fit the budget, at least one slot,
-// unless CompileOptions.ChunkSlots pins it explicitly.
-func chunkWidth(opt CompileOptions, slotPeakBytes int64, slots timeutil.Slot) int {
-	w := opt.ChunkSlots
-	if w <= 0 {
-		if slotPeakBytes <= 0 {
-			slotPeakBytes = 1
-		}
-		w = int(opt.MaxFineTableBytes / slotPeakBytes)
-	}
-	if w < 1 {
-		w = 1
-	}
-	if slots > 0 && timeutil.Slot(w) > slots {
-		w = int(slots)
-	}
-	return w
+// slot range whose peak resident bytes fit the budget, at least one slot.
+func chunkWidth(budget, slotPeakBytes int64, slots timeutil.Slot) int {
+	w := int(budget / max(slotPeakBytes, 1))
+	return max(1, min(w, int(slots)))
 }
 
-// tablesCompatible reports whether the receiver's materialized tables are
-// what Compile would produce under opt's fine-table configuration. Without
-// this check the already-compiled fast path would hand a budget-capped (or
-// chunked) table back to a caller that asked for a larger or unbounded
-// one.
-func (c *Compiled) tablesCompatible(opt CompileOptions) bool {
-	switch {
-	case opt.MaxFineTableBytes < 0: // fine table disabled
-		if c.steps != 0 {
-			return false
+// tablesCompatible reports whether the receiver's tables are what Compile
+// would produce under the budget: resident where they fit, otherwise
+// streamed at the same width. Without this check the already-compiled
+// fast path would hand a budget-capped table back to a caller that asked
+// for a larger one.
+func (c *Compiled) tablesCompatible(budget int64) bool {
+	same := func(resident *window, chunk int, bytes, slotPeak int64) bool {
+		if bytes <= budget {
+			return resident != nil
 		}
-	case c.fineBytes <= opt.MaxFineTableBytes: // resident fine table
-		if c.fine == nil {
-			return false
-		}
-	default: // chunk-streamed fine table of the same geometry
-		if c.fineChunk == 0 || c.fineChunk != chunkWidth(opt, c.fineSlotPeak, c.slots) {
-			return false
-		}
+		return chunk == chunkWidth(budget, slotPeak, c.slots)
 	}
-	if c.samples <= 0 {
-		return true
-	}
-	if opt.MaxFineTableBytes > 0 && c.profBytes > opt.MaxFineTableBytes {
-		return c.profChunk == chunkWidth(opt, c.profSlotPeak, c.slots)
-	}
-	return c.prof != nil
+	return same(c.fine, c.fineChunk, c.fineBytes, c.fineSlotPeak) &&
+		same(c.prof, c.profChunk, c.profBytes, c.profSlotPeak)
 }
 
 // Shard grains of Compile's parallel passes (see internal/par: fixed
@@ -466,29 +375,11 @@ func (c *Compiled) ActiveVMs(sl timeutil.Slot) []int { return c.src.ActiveVMs(sl
 
 // Util implements Source by delegating to the underlying source: arbitrary
 // step queries stay exact whether or not the fine table covers them. The
-// simulator's fine loop reads FineRow instead.
+// simulator's fine loop reads a Cursor instead.
 func (c *Compiled) Util(id int, st timeutil.Step) float64 { return c.src.Util(id, st) }
 
-// Samples returns the compiled per-slot profile length.
-func (c *Compiled) Samples() int { return c.samples }
-
-// FineParams returns the fine-loop period the utilization rows were sampled
-// at and the number of steps per slot; steps is 0 only when the fine table
-// was disabled outright. A chunk-streamed table reports its steps here but
-// serves rows through a FineCursor, not FineRow.
-func (c *Compiled) FineParams() (dt float64, steps int) { return c.dt, c.steps }
-
-// FineChunked reports whether the fine table is out-of-core: rows are
-// served by a per-run FineCursor instead of FineRow, in windows of
-// FineChunkSlots slots.
-func (c *Compiled) FineChunked() bool { return c.fineChunk > 0 }
-
-// ProfileChunked reports whether the per-slot profile table is out-of-core:
-// rows are served by a per-run ProfileCursor instead of ProfileRow.
-func (c *Compiled) ProfileChunked() bool { return c.profChunk > 0 }
-
 // FineChunkSlots and ProfileChunkSlots return the streamed window widths in
-// slots (0 when the corresponding table is resident or absent).
+// slots, 0 when the corresponding table is resident.
 func (c *Compiled) FineChunkSlots() int    { return c.fineChunk }
 func (c *Compiled) ProfileChunkSlots() int { return c.profChunk }
 
@@ -497,43 +388,13 @@ func (c *Compiled) ProfileChunkSlots() int { return c.profChunk }
 // modes avoid.
 func (c *Compiled) TableBytes() (fine, prof int64) { return c.fineBytes, c.profBytes }
 
-// FineRow returns the VM's utilization at every fine step of slot sl — row
-// k is Util at the k-th iteration of the simulator's fine loop — or nil
-// when the table does not cover (id, sl). The row is shared and read-only.
-func (c *Compiled) FineRow(id int, sl timeutil.Slot) []float64 {
-	if c.steps == 0 || c.fine == nil || id < 0 || id >= c.numVMs || c.fine[id] == nil {
-		return nil
-	}
-	off := int(sl - c.fineStart[id])
-	if off < 0 || (off+1)*c.steps > len(c.fine[id]) {
-		return nil
-	}
-	return c.fine[id][off*c.steps : (off+1)*c.steps]
-}
-
-// ProfileRow returns the VM's compiled profile for slot sl, or nil when the
-// table does not cover (id, sl). The row is shared and read-only — hand it
-// to a correlation.ProfileSet without copying.
-func (c *Compiled) ProfileRow(id int, sl timeutil.Slot) []float64 {
-	if c.samples <= 0 || c.prof == nil || id < 0 || id >= c.numVMs || c.prof[id] == nil {
-		return nil
-	}
-	off := int(sl - c.profStart[id])
-	if off < 0 || (off+1)*c.samples > len(c.prof[id]) {
-		return nil
-	}
-	return c.prof[id][off*c.samples : (off+1)*c.samples]
-}
-
-// SlotProfile implements Source. Covered (id, slot, n=Samples) queries copy
-// the compiled row (callers own the result, per the Source contract);
-// anything else falls through to the underlying source.
+// SlotProfile implements Source. Queries a resident profile table covers
+// (n = Samples) copy the compiled row (callers own the result, per the
+// Source contract); anything else falls through to the underlying source.
 func (c *Compiled) SlotProfile(id int, sl timeutil.Slot, n int) []float64 {
-	if n == c.samples {
-		if row := c.ProfileRow(id, sl); row != nil {
-			out := make([]float64, n)
-			copy(out, row)
-			return out
+	if n == c.samples && c.prof != nil {
+		if row := c.prof.row(id, sl); row != nil {
+			return append(make([]float64, 0, n), row...)
 		}
 	}
 	return c.src.SlotProfile(id, sl, n)

@@ -50,14 +50,13 @@ func TestCompiledSourceViews(t *testing.T) {
 // step derivation exactly, including its floating-point time accumulation.
 func TestCompiledFineRows(t *testing.T) {
 	w, c := testCompiled(t)
-	dt, steps := c.FineParams()
-	if dt != 300 || steps != 12 {
-		t.Fatalf("fine params = (%v, %d)", dt, steps)
-	}
+	const dt, steps = 300, 12
+	cur := NewCursor(c, 12, dt, nil)
 	for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
 		start := sl.Seconds()
+		cur.Advance(sl)
 		for _, id := range w.ActiveVMs(sl) {
-			row := c.FineRow(id, sl)
+			row := cur.FineRow(id, sl)
 			if len(row) != steps {
 				t.Fatalf("FineRow(%d,%d) len = %d", id, sl, len(row))
 			}
@@ -91,16 +90,17 @@ func TestCompiledFallbacks(t *testing.T) {
 		t.Fatal("Util differs from source")
 	}
 	// FineRow outside any window is nil, not garbage.
-	if c.FineRow(id, w.Slots()+5) != nil {
+	cur := NewCursor(c, 12, 300, nil)
+	if cur.FineRow(id, w.Slots()+5) != nil {
 		t.Fatal("FineRow past the horizon should be nil")
 	}
-	if c.FineRow(-1, 0) != nil {
+	if cur.FineRow(-1, 0) != nil {
 		t.Fatal("FineRow of a negative id should be nil")
 	}
 }
 
 // TestCompiledSlotProfileOwnership asserts SlotProfile returns a copy, per
-// the Source contract, while ProfileRow shares the table.
+// the Source contract, while a cursor's ProfileRow shares the table.
 func TestCompiledSlotProfileOwnership(t *testing.T) {
 	w, c := testCompiled(t)
 	id := w.ActiveVMs(0)[0]
@@ -109,7 +109,7 @@ func TestCompiledSlotProfileOwnership(t *testing.T) {
 	if c.SlotProfile(id, 0, 12)[0] == 99 {
 		t.Fatal("SlotProfile leaked the compiled row")
 	}
-	row := c.ProfileRow(id, 0)
+	row := NewCursor(c, 12, 300, nil).ProfileRow(id, 0)
 	if row == nil {
 		t.Fatal("ProfileRow missing for an active VM")
 	}
@@ -118,16 +118,17 @@ func TestCompiledSlotProfileOwnership(t *testing.T) {
 	}
 }
 
-// TestCompiledFineTableBudget asserts the memory budget disables the fine
-// table without breaking the Source view.
+// TestCompiledFineTableBudget asserts a budget below the tables streams
+// them without breaking the Source view.
 func TestCompiledFineTableBudget(t *testing.T) {
 	w := New(Config{Seed: 9, Horizon: timeutil.Hours(3), InitialVMs: 20})
-	c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: -1})
-	if _, steps := c.FineParams(); steps != 0 {
-		t.Fatal("fine table should be disabled")
+	c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1})
+	if c.fine != nil || c.prof != nil {
+		t.Fatal("over-budget tables should not be resident")
 	}
-	if c.FineRow(w.ActiveVMs(0)[0], 0) != nil {
-		t.Fatal("disabled fine table should return nil rows")
+	id := w.ActiveVMs(0)[0]
+	if !reflect.DeepEqual(c.SlotProfile(id, 0, 12), w.SlotProfile(id, 0, 12)) {
+		t.Fatal("SlotProfile must fall through to the source")
 	}
 	if c.Util(0, 3) != w.Util(0, 3) {
 		t.Fatal("Util must still delegate")

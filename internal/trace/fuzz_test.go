@@ -69,9 +69,11 @@ func FuzzLoadReplay(f *testing.F) {
 		_ = r.SlotProfile(0, -1, 4)
 		if r.Slots() <= 64 && r.NumVMs() <= 256 {
 			c := Compile(r, CompileOptions{Samples: 4, FineStepSec: 900})
+			cur := NewCursor(c, 4, 900, nil)
 			for sl := timeutil.Slot(0); sl < c.Slots(); sl++ {
+				cur.Advance(sl + 1) // profile rows of observation slot sl
 				for _, id := range c.ActiveVMs(sl) {
-					row := c.ProfileRow(id, sl)
+					row := cur.ProfileRow(id, sl)
 					if row == nil {
 						continue
 					}

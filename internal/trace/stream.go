@@ -5,261 +5,249 @@ import (
 	"geovmp/internal/timeutil"
 )
 
-// FineRows is the read side of a compiled fine table: the resident
-// *Compiled itself, or a FineCursor positioned on the chunk containing the
-// queried slot. The simulator's fine loop is written against this
-// interface so the in-core and out-of-core paths share one code path.
-type FineRows interface {
-	// FineRow returns the VM's utilization at every fine step of slot sl,
-	// or nil when the table does not cover (id, sl).
-	FineRow(id int, sl timeutil.Slot) []float64
-}
-
-var (
-	_ FineRows = (*Compiled)(nil)
-	_ FineRows = (*FineCursor)(nil)
-)
-
-// chunkCursor is the shared geometry of the streaming cursors: one
-// slot-range window [lo, hi) of `width` slots, with per-VM row runs packed
-// into a single reused buffer. Chunks are aligned at multiples of width
-// from slot 0, so the sequence of windows a run visits is a pure function
-// of the compile options — independent of when Advance is called.
-type chunkCursor struct {
-	c       *Compiled
-	workers *par.Budget
-	width   int
-	rowLen  int // floats per row (steps or samples)
-
-	lo, hi timeutil.Slot   // current window [lo, hi); unpositioned when lo >= hi
-	start  []timeutil.Slot // per VM: first covered slot in window (-1: none)
+// window is one slot range [lo, hi) of a row table — fine-step
+// utilizations or per-slot profiles — with per-VM row runs packed into a
+// single buffer. A resident compiled table is one window over the whole
+// horizon; a streamed table re-lays a reused window chunk by chunk.
+type window struct {
+	rowLen int             // floats per row (fine steps or profile samples)
+	lo, hi timeutil.Slot   // current range [lo, hi); unpositioned when lo >= hi
+	start  []timeutil.Slot // per VM: first covered slot in range (-1: none)
 	end    []timeutil.Slot // per VM: last covered slot (inclusive)
 	off    []int           // per VM: first row index into buf
 	buf    []float64
 }
 
-func newChunkCursor(c *Compiled, workers *par.Budget, width, rowLen int) chunkCursor {
-	cur := chunkCursor{
-		c:       c,
-		workers: workers,
-		width:   width,
-		rowLen:  rowLen,
-		start:   make([]timeutil.Slot, c.numVMs),
-		end:     make([]timeutil.Slot, c.numVMs),
-		off:     make([]int, c.numVMs),
+func newWindow(numVMs, rowLen int) *window {
+	return &window{
+		rowLen: rowLen,
+		lo:     1, // unpositioned
+		start:  make([]timeutil.Slot, numVMs),
+		end:    make([]timeutil.Slot, numVMs),
+		off:    make([]int, numVMs),
 	}
-	cur.lo, cur.hi = 1, 0 // unpositioned
-	return cur
 }
 
-// position sets the window to the chunk containing sl and lays out the
-// per-VM row runs; it reports whether the window changed. fill is then
-// responsible for writing buf.
-func (cur *chunkCursor) position(sl timeutil.Slot) bool {
-	if sl < 0 || sl >= cur.c.slots {
-		return false
-	}
-	if sl >= cur.lo && sl < cur.hi {
-		return false
-	}
-	k := int(sl) / cur.width
-	cur.lo = timeutil.Slot(k * cur.width)
-	cur.hi = cur.lo + timeutil.Slot(cur.width)
-	if cur.hi > cur.c.slots {
-		cur.hi = cur.c.slots
-	}
+// layout positions the window on [lo, hi) with one row run per VM over
+// cover(id) ∩ [lo, hi); cover returns a > b for VMs without rows.
+func (w *window) layout(lo, hi timeutil.Slot, cover func(id int) (a, b timeutil.Slot)) {
+	w.lo, w.hi = lo, hi
 	rows := 0
-	for id := 0; id < cur.c.numVMs; id++ {
-		a, b := cur.winFor(id)
+	for id := range w.start {
+		a, b := cover(id)
+		a, b = max(a, lo), min(b, hi-1)
 		if a > b {
-			cur.start[id] = -1
+			w.start[id] = -1
 			continue
 		}
-		cur.start[id], cur.end[id] = a, b
-		cur.off[id] = rows
+		w.start[id], w.end[id], w.off[id] = a, b, rows
 		rows += int(b - a + 1)
 	}
-	need := rows * cur.rowLen
-	if cap(cur.buf) < need {
-		cur.buf = make([]float64, need)
+	need := rows * w.rowLen
+	if w.buf == nil || cap(w.buf) < need {
+		w.buf = make([]float64, need)
 	}
-	cur.buf = cur.buf[:need]
-	return true
+	w.buf = w.buf[:need]
 }
 
-// winFor intersects the VM's covered slot window with the current chunk.
-func (cur *chunkCursor) winFor(id int) (a, b timeutil.Slot) {
-	if cur.c.first[id] < 0 {
-		return 1, 0
+// fill writes every covered row with f. VMs are sharded over workers; each
+// VM owns its rows, so any worker count produces identical bytes.
+func (w *window) fill(workers *par.Budget, f func(id int, sl timeutil.Slot, row []float64)) {
+	if w.rowLen == 0 {
+		return
 	}
-	a, b = cur.c.first[id], cur.c.last[id]
-	if a < cur.lo {
-		a = cur.lo
-	}
-	if b >= cur.hi {
-		b = cur.hi - 1
-	}
-	return a, b
+	par.For(workers, len(w.start), vmRowGrain, func(lo, hi int) {
+		for id := lo; id < hi; id++ {
+			a := w.start[id]
+			if a < 0 {
+				continue
+			}
+			for sl := a; sl <= w.end[id]; sl++ {
+				k := w.off[id] + int(sl-a)
+				f(id, sl, w.buf[k*w.rowLen:(k+1)*w.rowLen])
+			}
+		}
+	})
 }
 
 // row returns the buffered row for (id, sl), or nil when uncovered. Pure
-// read — safe from concurrent shards between Advance calls.
-func (cur *chunkCursor) row(id int, sl timeutil.Slot) []float64 {
-	if id < 0 || id >= len(cur.start) || sl < cur.lo || sl >= cur.hi {
+// read — safe from concurrent readers between layouts.
+func (w *window) row(id int, sl timeutil.Slot) []float64 {
+	if id < 0 || id >= len(w.start) || sl < w.lo || sl >= w.hi {
 		return nil
 	}
-	a := cur.start[id]
-	if a < 0 || sl < a || sl > cur.end[id] {
+	a := w.start[id]
+	if a < 0 || sl < a || sl > w.end[id] {
 		return nil
 	}
-	k := cur.off[id] + int(sl-a)
-	return cur.buf[k*cur.rowLen : (k+1)*cur.rowLen]
+	k := w.off[id] + int(sl-a)
+	return w.buf[k*w.rowLen : (k+1)*w.rowLen]
 }
 
-// WindowBytes returns the resident footprint of the current chunk window —
-// the quantity the compile budget bounds. Zero before the first Advance.
-func (cur *chunkCursor) WindowBytes() int64 { return int64(len(cur.buf)) * 8 }
-
-// FineCursor streams an out-of-core fine table chunk by chunk. One cursor
-// serves one simulation run: Advance is called serially (once per slot, by
-// the run's slot loop) and FineRow is safe for the run's concurrent
-// readers between advances. Rows are filled with the same expression as
-// the resident table — src.Util at the retained per-slot step lists — so
-// the streamed values are byte-identical to the in-core compile.
-type FineCursor struct {
-	chunkCursor
-}
-
-// NewFineCursor returns a streaming cursor over the chunked fine table, or
-// nil when the table is resident or absent (use FineRow directly then).
-// workers optionally lends goroutines to each chunk fill; the rows are
-// disjoint, so the chunk content is identical at any worker count.
-func (c *Compiled) NewFineCursor(workers *par.Budget) *FineCursor {
-	if c.fineChunk == 0 {
-		return nil
-	}
-	return &FineCursor{newChunkCursor(c, workers, c.fineChunk, c.steps)}
-}
-
-// Advance positions the cursor on the chunk containing sl, compiling it if
-// the window moved. Must not run concurrently with FineRow.
-func (cur *FineCursor) Advance(sl timeutil.Slot) {
-	if !cur.position(sl) {
-		return
-	}
-	c := cur.c
-	par.For(cur.workers, c.numVMs, vmRowGrain, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			a := cur.start[id]
-			if a < 0 {
-				continue
-			}
-			rows := cur.buf[cur.off[id]*cur.rowLen:]
-			for sl := a; sl <= cur.end[id]; sl++ {
-				row := rows[int(sl-a)*cur.rowLen:]
-				for k, step := range c.stepsBySlot[sl] {
-					row[k] = c.src.Util(id, step)
-				}
-			}
+// covers returns the row covers of per-VM active windows [first, last]
+// (first < 0: never active): the slots themselves for fine rows, and their
+// observation slots for profile rows.
+func covers(first, last []timeutil.Slot) (act, obs func(id int) (a, b timeutil.Slot)) {
+	act = func(id int) (a, b timeutil.Slot) {
+		if first[id] < 0 {
+			return 1, 0
 		}
-	})
-}
-
-// FineRow implements FineRows from the current chunk.
-func (cur *FineCursor) FineRow(id int, sl timeutil.Slot) []float64 { return cur.row(id, sl) }
-
-// ProfileCursor streams an out-of-core per-slot profile table chunk by
-// chunk, windowed over observation slots. Same contract as FineCursor:
-// serial Advance, concurrent ProfileRow reads in between. Rows are
-// synthesized through the source's profile sampling — the same values the
-// resident table stores — so consumers (correlation.ProfileSet copies
-// standard-length rows) see byte-identical data.
-type ProfileCursor struct {
-	chunkCursor
-	filler slotProfileFiller // non-nil when the source fills in place
-}
-
-// NewProfileCursor returns a streaming cursor over the chunked profile
-// table, or nil when the table is resident or absent.
-func (c *Compiled) NewProfileCursor(workers *par.Budget) *ProfileCursor {
-	if c.profChunk == 0 {
-		return nil
+		return first[id], last[id]
 	}
-	cur := &ProfileCursor{chunkCursor: newChunkCursor(c, workers, c.profChunk, c.samples)}
-	cur.filler, _ = c.src.(slotProfileFiller)
+	obs = func(id int) (a, b timeutil.Slot) {
+		if first[id] < 0 {
+			return 1, 0
+		}
+		return obsSlot(first[id]), obsSlot(last[id])
+	}
+	return act, obs
+}
+
+// fineSteps returns, per slot of [lo, hi), the Util steps of the
+// simulator's fine loop at period dt — replicated bit-for-bit, including
+// its floating-point time accumulation.
+func fineSteps(lo, hi timeutil.Slot, dt float64) [][]timeutil.Step {
+	out := make([][]timeutil.Step, hi-lo)
+	for sl := lo; sl < hi; sl++ {
+		start := sl.Seconds()
+		for t := 0.0; t < timeutil.SlotSeconds; t += dt {
+			out[sl-lo] = append(out[sl-lo], timeutil.Step(int64(start+t)/timeutil.StepSeconds))
+		}
+	}
+	return out
+}
+
+// fillFine returns the fine-row filler of the window [lo, hi): row k is
+// src.Util at the k-th step of the simulator's fine loop.
+func fillFine(src Source, lo, hi timeutil.Slot, dt float64) func(int, timeutil.Slot, []float64) {
+	steps := fineSteps(lo, hi, dt)
+	return func(id int, sl timeutil.Slot, row []float64) {
+		for k, st := range steps[sl-lo] {
+			row[k] = src.Util(id, st)
+		}
+	}
+}
+
+// fillProfile writes the source's profile of (id, sl) into row, in place
+// when the source supports it.
+func fillProfile(src Source) func(int, timeutil.Slot, []float64) {
+	if filler, ok := src.(slotProfileFiller); ok {
+		return func(id int, sl timeutil.Slot, row []float64) { filler.FillSlotProfile(row, id, sl) }
+	}
+	return func(id int, sl timeutil.Slot, row []float64) { copy(row, src.SlotProfile(id, sl, len(row))) }
+}
+
+// Cursor is the simulator's one reader of profile and fine-step rows. One
+// cursor serves one run: Advance is called serially, once per slot, and
+// FineRow / ProfileRow are safe for the run's concurrent readers in
+// between. Every row holds the values the source itself returns — Util at
+// the fine loop's steps, SlotProfile at the run's sample count — whichever
+// window serves it.
+type Cursor struct {
+	src     Source
+	workers *par.Budget
+	dt      float64
+	// first/last bound the slots each VM has rows for: a compiled trace's
+	// active windows, or — for a one-slot reader over any other source —
+	// the advanced slot's active VMs.
+	first, last        []timeutil.Slot
+	actCover, obsCover func(id int) (a, b timeutil.Slot)
+	live               bool  // first/last follow src.ActiveVMs slot by slot
+	ids                []int // live: the VMs marked in first/last
+	fine, prof         *window
+	// Slots per window the cursor re-lays itself; 0 for a resident table's
+	// shared window, which spans the horizon and is never written.
+	fineWidth, profWidth int
+}
+
+// NewCursor returns the row reader of one run over src at the run's
+// profile length and fine step (both resolved). It picks by what it is
+// given:
+//
+//   - a *Compiled built for (samples, fineStepSec) serves a resident table
+//     from its one whole-horizon window, shared read-only by every cursor,
+//     and an over-budget table from a per-run window of the derived chunk
+//     width, filled from the compiled source;
+//   - any other source gets per-run windows one slot wide, filled straight
+//     from the source at each Advance.
+//
+// workers optionally lends goroutines to window fills.
+func NewCursor(src Source, samples int, fineStepSec float64, workers *par.Budget) *Cursor {
+	steps := fineStepsPerSlot(fineStepSec)
+	cur := &Cursor{src: src, workers: workers, dt: fineStepSec}
+	if c, ok := src.(*Compiled); ok && c.samples == samples && c.dt == fineStepSec {
+		cur.src, cur.first, cur.last = c.src, c.first, c.last
+		cur.fine, cur.fineWidth = c.fine, c.fineChunk
+		if c.fine == nil {
+			cur.fine = newWindow(c.numVMs, steps)
+		}
+		cur.prof, cur.profWidth = c.prof, c.profChunk
+		if c.prof == nil {
+			cur.prof = newWindow(c.numVMs, samples)
+		}
+	} else {
+		numVMs := src.NumVMs()
+		cur.live, cur.fineWidth, cur.profWidth = true, 1, 1
+		cur.first = make([]timeutil.Slot, numVMs)
+		cur.last = make([]timeutil.Slot, numVMs)
+		for id := range cur.first {
+			cur.first[id] = -1
+		}
+		cur.fine = newWindow(numVMs, steps)
+		cur.prof = newWindow(numVMs, samples)
+	}
+	cur.actCover, cur.obsCover = covers(cur.first, cur.last)
 	return cur
 }
 
-// winFor of the profile cursor covers observation slots, mirroring the
-// resident table's [obsSlot(first), obsSlot(last)] rows.
-func (cur *ProfileCursor) winForObs(id int) (a, b timeutil.Slot) {
-	if cur.c.first[id] < 0 {
-		return 1, 0
-	}
-	a, b = obsSlot(cur.c.first[id]), obsSlot(cur.c.last[id])
-	if a < cur.lo {
-		a = cur.lo
-	}
-	if b >= cur.hi {
-		b = cur.hi - 1
-	}
-	return a, b
-}
-
-// Advance positions the cursor on the chunk containing observation slot
-// obs, compiling it if the window moved. Must not run concurrently with
-// ProfileRow.
-func (cur *ProfileCursor) Advance(obs timeutil.Slot) {
-	if obs < 0 || obs >= cur.c.slots {
-		return
-	}
-	if obs >= cur.lo && obs < cur.hi {
-		return
-	}
-	k := int(obs) / cur.width
-	cur.lo = timeutil.Slot(k * cur.width)
-	cur.hi = cur.lo + timeutil.Slot(cur.width)
-	if cur.hi > cur.c.slots {
-		cur.hi = cur.c.slots
-	}
-	rows := 0
-	for id := 0; id < cur.c.numVMs; id++ {
-		a, b := cur.winForObs(id)
-		if a > b {
-			cur.start[id] = -1
-			continue
+// Advance positions the cursor on slot sl: fine rows of sl and profile rows
+// of its observation slot, filling whichever per-run window moved. Must not
+// run concurrently with FineRow or ProfileRow.
+func (cur *Cursor) Advance(sl timeutil.Slot) {
+	if cur.live {
+		for _, id := range cur.ids {
+			cur.first[id] = -1
 		}
-		cur.start[id], cur.end[id] = a, b
-		cur.off[id] = rows
-		rows += int(b - a + 1)
-	}
-	need := rows * cur.rowLen
-	if cap(cur.buf) < need {
-		cur.buf = make([]float64, need)
-	}
-	cur.buf = cur.buf[:need]
-	c := cur.c
-	par.For(cur.workers, c.numVMs, vmRowGrain, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			a := cur.start[id]
-			if a < 0 {
-				continue
-			}
-			rows := cur.buf[cur.off[id]*cur.rowLen:]
-			for sl := a; sl <= cur.end[id]; sl++ {
-				row := rows[int(sl-a)*cur.rowLen : int(sl-a+1)*cur.rowLen]
-				if cur.filler != nil {
-					cur.filler.FillSlotProfile(row, id, sl)
-				} else {
-					copy(row, c.src.SlotProfile(id, sl, c.samples))
-				}
+		cur.ids = cur.ids[:0]
+		for _, id := range cur.src.ActiveVMs(sl) {
+			if id >= 0 && id < len(cur.first) {
+				cur.first[id], cur.last[id] = sl, sl
+				cur.ids = append(cur.ids, id)
 			}
 		}
-	})
+	}
+	if lo, hi, ok := cur.move(cur.fine, cur.fineWidth, sl); ok {
+		cur.fine.layout(lo, hi, cur.actCover)
+		cur.fine.fill(cur.workers, fillFine(cur.src, lo, hi, cur.dt))
+	}
+	if lo, hi, ok := cur.move(cur.prof, cur.profWidth, obsSlot(sl)); ok {
+		cur.prof.layout(lo, hi, cur.obsCover)
+		cur.prof.fill(cur.workers, fillProfile(cur.src))
+	}
 }
 
-// ProfileRow returns the VM's profile for observation slot sl from the
-// current chunk, or nil when uncovered. The row buffer is reused by the
-// next Advance; consumers that retain rows must copy them (ProfileSet.Add
-// already copies standard-length rows).
-func (cur *ProfileCursor) ProfileRow(id int, sl timeutil.Slot) []float64 { return cur.row(id, sl) }
+// move returns the width-slot chunk containing sl when a per-run window
+// must be re-laid for it: always for a live reader, whose rows follow the
+// slot's active VMs, otherwise only when sl left the current chunk.
+func (cur *Cursor) move(w *window, width int, sl timeutil.Slot) (lo, hi timeutil.Slot, ok bool) {
+	if width == 0 || !cur.live && sl >= w.lo && sl < w.hi {
+		return 0, 0, false
+	}
+	lo = sl - sl%timeutil.Slot(width)
+	return lo, min(lo+timeutil.Slot(width), cur.src.Slots()), true
+}
+
+// FineRow returns the VM's utilization at every fine step of slot sl — row
+// k is Util at the k-th iteration of the simulator's fine loop — or nil
+// when the current window does not cover (id, sl). The row is read-only.
+func (cur *Cursor) FineRow(id int, sl timeutil.Slot) []float64 { return cur.fine.row(id, sl) }
+
+// ProfileRow returns the VM's profile of observation slot obs, or nil when
+// the current window does not cover (id, obs). The row is read-only and
+// may be overwritten by the next Advance; consumers that retain rows copy
+// them (correlation.ProfileSet.Add copies standard-length rows).
+func (cur *Cursor) ProfileRow(id int, obs timeutil.Slot) []float64 { return cur.prof.row(id, obs) }
+
+// WindowBytes returns the resident footprint of the cursor's fine and
+// profile windows, shared resident tables included.
+func (cur *Cursor) WindowBytes() int64 { return int64(len(cur.fine.buf)+len(cur.prof.buf)) * 8 }

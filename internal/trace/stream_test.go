@@ -8,18 +8,20 @@ import (
 )
 
 // chunkedPair compiles the same workload twice: unbounded (resident
-// tables) and with a 1-byte budget pinned to `width`-slot chunks (both
-// tables streamed).
+// tables) and under a budget of `width` peak slots, so both tables stream
+// in `width`-slot windows (at a 300 s step the fine rows and the profiles
+// are both 12 floats, so the two tables derive the same width).
 func chunkedPair(t *testing.T, width int) (*Workload, *Compiled, *Compiled) {
 	t.Helper()
 	w := New(Config{Seed: 21, Horizon: timeutil.Hours(9), InitialVMs: 30, MeanLifeSlots: 3})
 	res := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300})
-	chk := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 1, ChunkSlots: width})
-	if !chk.FineChunked() || !chk.ProfileChunked() {
-		t.Fatalf("1-byte budget should chunk both tables (fine=%v prof=%v)",
-			chk.FineChunked(), chk.ProfileChunked())
+	budget := int64(width) * res.fineSlotPeak
+	chk := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: budget})
+	if chk.FineChunkSlots() != width || chk.ProfileChunkSlots() != width {
+		t.Fatalf("budget %d: chunk widths (fine %d, prof %d), want %d",
+			budget, chk.FineChunkSlots(), chk.ProfileChunkSlots(), width)
 	}
-	if res.FineChunked() || res.ProfileChunked() {
+	if res.fine == nil || res.prof == nil {
 		t.Fatal("unbounded compile should stay resident")
 	}
 	return w, res, chk
@@ -27,33 +29,29 @@ func chunkedPair(t *testing.T, width int) (*Workload, *Compiled, *Compiled) {
 
 // TestFineCursorMatchesResident asserts the streamed fine rows are
 // byte-identical to the resident table at every (vm, slot), for chunk
-// widths that divide, straddle and exceed the horizon.
+// widths that divide and straddle the horizon, and that a resident
+// table's cursor never writes the shared window.
 func TestFineCursorMatchesResident(t *testing.T) {
-	for _, width := range []int{1, 2, 4, 64} {
+	for _, width := range []int{1, 2, 3} {
 		w, res, chk := chunkedPair(t, width)
-		if got := chk.FineChunkSlots(); got != min(width, int(w.Slots())) {
-			t.Fatalf("width %d: FineChunkSlots = %d", width, got)
-		}
-		cur := chk.NewFineCursor(nil)
-		if cur == nil {
-			t.Fatal("chunked table must hand out a cursor")
-		}
-		if res.NewFineCursor(nil) != nil {
-			t.Fatal("resident table must not hand out a cursor")
+		cur := NewCursor(chk, 12, 300, nil)
+		ref := NewCursor(res, 12, 300, nil)
+		if ref.fine != res.fine || cur.fine == chk.fine {
+			t.Fatal("only a resident table shares its window")
 		}
 		for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
 			cur.Advance(sl)
+			ref.Advance(sl)
 			for _, id := range w.ActiveVMs(sl) {
 				got := cur.FineRow(id, sl)
-				want := res.FineRow(id, sl)
-				if !reflect.DeepEqual(got, want) {
+				want := ref.FineRow(id, sl)
+				if got == nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("width %d: fine row (%d,%d) = %v, want %v", width, id, sl, got, want)
 				}
 			}
 		}
-		// The chunked compile keeps no resident fine rows.
-		if chk.FineRow(w.ActiveVMs(0)[0], 0) != nil {
-			t.Fatal("chunked FineRow should be nil on the Compiled itself")
+		if res.fine.lo != 0 || res.fine.hi != w.Slots() {
+			t.Fatal("advancing moved the resident window")
 		}
 	}
 }
@@ -62,26 +60,52 @@ func TestFineCursorMatchesResident(t *testing.T) {
 // profiles are byte-identical to the resident table over the simulator's
 // access pattern (obs = max(sl-1, 0) for ids active at sl).
 func TestProfileCursorMatchesResident(t *testing.T) {
-	for _, width := range []int{1, 3, 64} {
+	for _, width := range []int{1, 2, 3} {
 		w, res, chk := chunkedPair(t, width)
-		cur := chk.NewProfileCursor(nil)
-		if cur == nil {
-			t.Fatal("chunked table must hand out a cursor")
-		}
-		if res.NewProfileCursor(nil) != nil {
-			t.Fatal("resident table must not hand out a cursor")
-		}
+		cur := NewCursor(chk, 12, 300, nil)
+		ref := NewCursor(res, 12, 300, nil)
 		for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
 			obs := obsSlot(sl)
-			cur.Advance(obs)
+			cur.Advance(sl)
 			for _, id := range w.ActiveVMs(sl) {
 				got := cur.ProfileRow(id, obs)
-				want := res.ProfileRow(id, obs)
-				if !reflect.DeepEqual(got, want) {
+				want := ref.ProfileRow(id, obs)
+				if got == nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("width %d: profile row (%d,%d) = %v, want %v", width, id, obs, got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestLiveCursorMatchesResident asserts the one-slot reader over the raw
+// source serves the resident table's rows for every active VM, and none
+// for VMs outside the slot.
+func TestLiveCursorMatchesResident(t *testing.T) {
+	w, res, _ := chunkedPair(t, 1)
+	live := NewCursor(w, 12, 300, nil)
+	ref := NewCursor(res, 12, 300, nil)
+	for sl := timeutil.Slot(0); sl < w.Slots(); sl++ {
+		live.Advance(sl)
+		active := map[int]bool{}
+		for _, id := range w.ActiveVMs(sl) {
+			active[id] = true
+			if got, want := live.FineRow(id, sl), ref.FineRow(id, sl); got == nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("fine row (%d,%d) = %v, want %v", id, sl, got, want)
+			}
+			if got, want := live.ProfileRow(id, obsSlot(sl)), ref.ProfileRow(id, obsSlot(sl)); got == nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("profile row (%d,%d) = %v, want %v", id, obsSlot(sl), got, want)
+			}
+		}
+		for id := 0; id < w.NumVMs(); id++ {
+			if !active[id] && live.FineRow(id, sl) != nil {
+				t.Fatalf("inactive VM %d has a fine row at slot %d", id, sl)
+			}
+		}
+	}
+	// A compiled trace built for other parameters is read like any source.
+	if other := NewCursor(res, 6, 300, nil); !other.live {
+		t.Fatal("mismatched samples should fall back to the one-slot reader")
 	}
 }
 
@@ -97,9 +121,6 @@ func TestChunkWidthFromBudget(t *testing.T) {
 	}
 	// Half the full table forces chunking with a window of >= 1 slot.
 	c := Compile(w, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: fineBytes / 2})
-	if !c.FineChunked() {
-		t.Fatal("half budget should chunk the fine table")
-	}
 	if got := c.FineChunkSlots(); got < 1 || got >= int(w.Slots()) {
 		t.Fatalf("chunk width %d out of (0, slots)", got)
 	}
@@ -128,7 +149,7 @@ func TestCompileFastPathRespectsBudget(t *testing.T) {
 	if chunked == resident {
 		t.Fatal("budgeted recompile returned the unbounded table")
 	}
-	if !chunked.FineChunked() {
+	if chunked.FineChunkSlots() == 0 {
 		t.Fatal("budgeted recompile should be chunked")
 	}
 
@@ -137,12 +158,8 @@ func TestCompileFastPathRespectsBudget(t *testing.T) {
 		t.Fatal("identical budgeted options must reuse the compiled trace")
 	}
 
-	// Disabled fine table is a third mode, distinct from both.
-	disabled := Compile(chunked, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: -1})
-	if disabled == chunked || disabled == resident {
-		t.Fatal("disabling the fine table must recompile")
-	}
-	if _, steps := disabled.FineParams(); steps != 0 {
-		t.Fatal("negative budget should disable the fine table")
+	// A budget that derives another width recompiles too.
+	if wider := Compile(chunked, CompileOptions{Samples: 12, FineStepSec: 300, MaxFineTableBytes: 2 * chunked.fineSlotPeak}); wider == chunked {
+		t.Fatal("a different derived width must recompile")
 	}
 }
