@@ -54,15 +54,7 @@ func PeakCoincidence(a, b []float64) float64 {
 	if den <= 0 {
 		return 0.5
 	}
-	c := peakAB / den
-	// Floor slightly above zero to respect the documented (0,1] range.
-	if c < 1e-9 {
-		c = 1e-9
-	}
-	if c > 1 {
-		c = 1
-	}
-	return c
+	return clampCorr(peakAB / den)
 }
 
 // CombinedPeak returns max_t of the element-wise sum of the profiles — the
@@ -162,9 +154,11 @@ type ProfileSet struct {
 	freeOdd []int32
 	// ord mirrors the arena at one uint16 per sample: for every built row,
 	// the sample indices sorted by descending utilization — the walk order
-	// of the pruned peak-coincidence kernel. ordVal holds the utilization
-	// at each ord entry, so the kernel's own-profile reads are sequential
-	// instead of gathered. Built on demand by EnsureOrders;
+	// of the pruned peak-coincidence kernel, which consumes it in strips of
+	// orderedStrip and bounds each strip by its first (largest) entry.
+	// ordVal holds the utilization at each ord entry, so the kernel's
+	// own-profile reads are sequential and only the partner's samples are
+	// gathered. Built on demand by EnsureOrders;
 	// len(ord)/samples rows are valid. Adds that land inside the built
 	// region (overwrites and free-list reuse) re-sort their row inline, so
 	// the orders stay exact across any Add/Remove sequence.
@@ -592,8 +586,9 @@ func (ps *ProfileSet) orderAt(off int32) ([]uint16, []float64) {
 // Equal-length profiles — the only shape the simulator produces — reuse the
 // peaks computed at Add time, and after EnsureOrders the pair is evaluated
 // by the pruned kernel, which walks the samples in descending order of VM
-// i's utilization and stops at the exact bound a[t]+peakB <= best. Results
-// are identical to PeakCoincidence in every case.
+// i's utilization, strip by strip, and stops at the exact bound
+// a[t]+peakB <= best. Results are identical to PeakCoincidence for every
+// NaN-free pair of profiles.
 func (ps *ProfileSet) CPUCorr(i, j int) float64 {
 	a := ps.Profile(i)
 	b := ps.Profile(j)
@@ -612,14 +607,14 @@ func (ps *ProfileSet) CPUCorr(i, j int) float64 {
 }
 
 // CPUCorrInto fills dst[k] with CPUCorr(i, js[k]) — the bulk form the
-// embedding's dense force cache uses. Hoisting VM i's profile, peak and
-// sample order out of the O(V) inner loop, and reading partner rows
-// straight out of the arena, is worth ~25% of the whole pairwise sweep
-// versus per-pair CPUCorr calls. Odd-length partner rows ride the same
-// loop: equal-length pairs still reuse the cached peaks (full-row peaks
-// equal common-prefix peaks exactly when lengths match) and only truly
-// mixed-length pairs pay the general PeakCoincidence scan. Results are
-// identical to per-pair CPUCorr calls.
+// embedding's force passes use. VM i's profile, peak and sample order are
+// hoisted out of the loop over partners, and the common case — a standard
+// anchor row with its order built, paired with standard partner rows read
+// straight out of the arena — runs as a tight loop around the pruned
+// kernel. Odd-length rows ride the general path: equal-length pairs still
+// reuse the cached peaks (full-row peaks equal common-prefix peaks exactly
+// when lengths match) and only truly mixed-length pairs pay the general
+// PeakCoincidence scan. Results are identical to per-pair CPUCorr calls.
 func (ps *ProfileSet) CPUCorrInto(dst []float64, i int, js []int) {
 	a := ps.Profile(i)
 	if a == nil {
@@ -629,40 +624,46 @@ func (ps *ProfileSet) CPUCorrInto(dst []float64, i int, js []int) {
 		return
 	}
 	peakA := ps.Peak(i)
-	var ordA []uint16
-	var avA []float64
+	s := ps.samples
+	dst = dst[:len(js)]
 	if off := ps.off[i]; off >= 0 {
-		ordA, avA = ps.orderAt(off)
-	}
-	aStd := len(a) == ps.samples
-	for k, j := range js {
-		// The arena row is resolved inline: the overwhelmingly common
-		// standard-row partner costs one offset load instead of the
-		// general Profile switch.
-		if j >= 0 && j < len(ps.off) {
-			if off := ps.off[j]; off >= 0 && aStd {
-				b := ps.arena[off : int(off)+ps.samples]
-				if ordA != nil {
-					dst[k] = peakCoincidenceOrdered(b, ordA, avA, peakA, ps.peaks[j])
-				} else {
-					dst[k] = peakCoincidenceKnown(a, b, peakA, ps.peaks[j])
+		if ordA, avA := ps.orderAt(off); ordA != nil {
+			for k, j := range js {
+				if uint(j) < uint(len(ps.off)) {
+					if offB := ps.off[j]; offB >= 0 {
+						dst[k] = peakCoincidenceOrdered(ps.arena[offB:int(offB)+s], ordA, avA, peakA, ps.peaks[j])
+						continue
+					}
 				}
+				dst[k] = ps.corrGeneral(a, peakA, j)
+			}
+			return
+		}
+	}
+	aStd := len(a) == s
+	for k, j := range js {
+		if aStd && uint(j) < uint(len(ps.off)) {
+			if offB := ps.off[j]; offB >= 0 {
+				dst[k] = peakCoincidenceKnown(a, ps.arena[offB:int(offB)+s], peakA, ps.peaks[j])
 				continue
 			}
 		}
-		b := ps.Profile(j)
-		switch {
-		case b == nil:
-			dst[k] = 0.5
-		case len(b) != len(a):
-			dst[k] = PeakCoincidence(a, b)
-		default:
-			// Only equal-length odd x odd pairs reach here (a standard row
-			// paired with an equal-length partner was handled inline above),
-			// so there is never a sample order to prune with.
-			dst[k] = peakCoincidenceKnown(a, b, peakA, ps.peaks[j])
-		}
+		dst[k] = ps.corrGeneral(a, peakA, j)
 	}
+}
+
+// corrGeneral is CPUCorrInto's per-pair fallback for the shapes the arena
+// loops do not take: a missing partner, or a pair with an odd-length row.
+// Equal-length odd pairs have no sample order to prune with.
+func (ps *ProfileSet) corrGeneral(a []float64, peakA float64, j int) float64 {
+	b := ps.Profile(j)
+	switch {
+	case b == nil:
+		return 0.5
+	case len(b) != len(a):
+		return PeakCoincidence(a, b)
+	}
+	return peakCoincidenceKnown(a, b, peakA, ps.peaks[j])
 }
 
 // CPUCorrFast is the scalar form of CPUCorrFastInto.
@@ -752,14 +753,7 @@ func fastPeakCoincidence(qb []uint16, ordA, qoA []uint16, qpB, den int32) float6
 			}
 		}
 	}
-	c := float64(best) / float64(den)
-	if c < 1e-9 {
-		c = 1e-9
-	}
-	if c > 1 {
-		c = 1
-	}
-	return c
+	return clampCorr(float64(best) / float64(den))
 }
 
 // peakCoincidenceKnown is PeakCoincidence over equal-length profiles with
@@ -807,31 +801,35 @@ func peakCoincidenceKnown(a, b []float64, peakA, peakB float64) float64 {
 	if den <= 0 {
 		return 0.5
 	}
-	c := peakAB / den
-	if c < 1e-9 {
-		c = 1e-9
-	}
-	if c > 1 {
-		c = 1
-	}
-	return c
+	return clampCorr(peakAB / den)
 }
+
+// orderedStrip is the blocking factor of the pruned kernel's walk: the
+// early-exit bound is tested once per strip of this many descending-order
+// samples, and the strip's sums (written out four at a time in the kernel)
+// are reduced by a branch-free max.
+const orderedStrip = 4
 
 // peakCoincidenceOrdered is the pruned form of peakCoincidenceKnown: it
 // walks the samples in descending order of a's utilization (ord and av,
-// built by EnsureOrders: av[s] == a[ord[s]]) and stops at the exact
-// early-exit bound
+// built by EnsureOrders: av[s] == a[ord[s]]) in strips of orderedStrip,
+// and stops before a strip starting at sample t when the exact early-exit
+// bound
 //
-//	a[t] + peakB <= best  =>  stop:
+//	a[t] + peakB <= best
 //
-// every unvisited sample of a is <= a[t], so no unvisited combined sample
-// can exceed best, and best already is the final combined peak. (Exact in
-// floating point too: rounded addition is monotone, so every unvisited
-// candidate fl(a[t']+b[t']) <= fl(a[t]+peakB) <= best.) The combined peak
-// is an exact max of the same a[t]+b[t] sums either way, so the result is
-// bit-identical to peakCoincidenceKnown — but a typical pair touches a
-// handful of samples instead of all S, which is what makes the O(V^2) pair
-// sweep of the global phase subquadratic in sample touches in practice.
+// holds: every unvisited sample of a is <= a[t], so no unvisited combined
+// sample can exceed best, and best already is the final combined peak.
+// (Exact in floating point too: rounded addition is monotone, so every
+// unvisited candidate fl(a[t']+b[t']) <= fl(a[t]+peakB) <= best.) Testing
+// the bound once per strip instead of once per sample is conservative — a
+// strip may visit samples a per-sample test would have skipped, which can
+// never raise best past the true combined peak — so the result is the
+// exact max of the same a[t]+b[t] sums and bit-identical to
+// peakCoincidenceKnown, while the strip's four sums reduce without
+// data-dependent branches. A typical pair touches one or two strips
+// instead of all S samples, which is what makes the O(V^2) pair sweep of
+// the global phase subquadratic in sample touches in practice.
 func peakCoincidenceOrdered(b []float64, ord []uint16, av []float64, peakA, peakB float64) float64 {
 	den := peakA + peakB
 	if den <= 0 {
@@ -839,17 +837,31 @@ func peakCoincidenceOrdered(b []float64, ord []uint16, av []float64, peakA, peak
 		// the unpruned kernels return.
 		return 0.5
 	}
+	n := len(ord)
+	av = av[:n]
 	best := math.Inf(-1)
-	for s, t := range ord {
-		at := av[s]
-		if at+peakB <= best {
-			break
+	st := 0
+	for ; st+orderedStrip <= n; st += orderedStrip {
+		if av[st]+peakB <= best {
+			return clampCorr(best / den)
 		}
-		if sum := at + b[t]; sum > best {
-			best = sum
+		s0 := av[st] + b[ord[st]]
+		s1 := av[st+1] + b[ord[st+1]]
+		s2 := av[st+2] + b[ord[st+2]]
+		s3 := av[st+3] + b[ord[st+3]]
+		best = max(best, max(s0, s1), max(s2, s3))
+	}
+	if st < n && av[st]+peakB > best {
+		for ; st < n; st++ {
+			best = max(best, av[st]+b[ord[st]])
 		}
 	}
-	c := best / den
+	return clampCorr(best / den)
+}
+
+// clampCorr floors a peak-coincidence ratio slightly above zero and caps
+// it at 1, the documented (0, 1] range.
+func clampCorr(c float64) float64 {
 	if c < 1e-9 {
 		c = 1e-9
 	}

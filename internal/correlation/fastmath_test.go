@@ -1,6 +1,7 @@
 package correlation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -216,47 +217,41 @@ func TestDataMatrixGenerations(t *testing.T) {
 }
 
 // BenchmarkCPUCorrInto measures the exact pruned kernel against the
-// quantized fast kernel on the same mixed-length row population, so
-// kernel-level wins are visible without running a full experiment cell.
+// quantized fast kernel in the sampled embedding's call shape — one anchor
+// row against 96 hashed partners out of 3000 standard rows — at the
+// simulator's default 12 samples per profile and at 96, so kernel-level
+// wins are visible without running a full experiment cell.
 func BenchmarkCPUCorrInto(b *testing.B) {
-	const n, samples = 2048, 48
-	build := func(fast bool) (*ProfileSet, []int) {
-		ps := NewProfileSet(samples)
-		ps.SetFastMath(fast)
-		for i := 0; i < n; i++ {
-			ln := samples
-			switch i % 4 {
-			case 1:
-				ln = samples / 2
-			case 3:
-				ln = samples / 6
-			}
-			p := make([]float64, ln)
-			for t := range p {
-				p[t] = rng.Noise01(7, uint64(i), uint64(t))
-			}
-			ps.Add(i, p)
+	const n, partners = 3000, 96
+	for _, samples := range []int{12, 96} {
+		for _, mode := range []string{"exact", "fast"} {
+			b.Run(fmt.Sprintf("%s/samples=%d", mode, samples), func(b *testing.B) {
+				ps := NewProfileSet(samples)
+				ps.SetFastMath(mode == "fast")
+				for i := 0; i < n; i++ {
+					p := make([]float64, samples)
+					for t := range p {
+						p[t] = rng.Noise01(7, uint64(i), uint64(t))
+					}
+					ps.Add(i, p)
+				}
+				ps.EnsureOrders(nil)
+				js := make([]int, n*partners)
+				for k := range js {
+					js[k] = int(rng.Hash(11, uint64(k)) % n)
+				}
+				dst := make([]float64, partners)
+				kernel := ps.CPUCorrInto
+				if mode == "fast" {
+					kernel = ps.CPUCorrFastInto
+				}
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					i := it % n
+					kernel(dst, i, js[i*partners:(i+1)*partners])
+				}
+				b.ReportMetric(float64(b.N)*partners/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+			})
 		}
-		ps.EnsureOrders(nil)
-		js := make([]int, n)
-		for j := range js {
-			js[j] = j
-		}
-		return ps, js
-	}
-	for _, mode := range []string{"exact", "fast"} {
-		b.Run(mode, func(b *testing.B) {
-			ps, js := build(mode == "fast")
-			dst := make([]float64, n)
-			kernel := ps.CPUCorrInto
-			if mode == "fast" {
-				kernel = ps.CPUCorrFastInto
-			}
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				kernel(dst, it%n, js)
-			}
-			b.ReportMetric(float64(b.N)*float64(n)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
-		})
 	}
 }

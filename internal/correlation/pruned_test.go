@@ -1,6 +1,7 @@
 package correlation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -30,55 +31,60 @@ func randProfile(src *rng.Source, n int) []float64 {
 // kernel: over randomized profiles — including all-zero rows and equal-peak
 // ties — every pairwise CPUCorr with built orders must equal the reference
 // PeakCoincidence bit for bit, and CPUCorrInto must agree with per-pair
-// CPUCorr.
+// CPUCorr. The sample counts cover rows shorter than one strip, a strip
+// plus a tail, whole strips (the simulator's default 12), strips plus a
+// tail, and long rows where the walk exits after its first strip.
 func TestPrunedKernelMatchesPeakCoincidence(t *testing.T) {
-	src := rng.New(7).Derive("pruned-kernel")
-	const samples = 12
-	for trial := 0; trial < 25; trial++ {
-		ps := NewProfileSet(samples)
-		n := 8 + src.Intn(24)
-		rows := make([][]float64, n)
-		for id := 0; id < n; id++ {
-			var p []float64
-			switch {
-			case trial == 0 && id < 3:
-				p = make([]float64, samples) // all-zero profiles
-			case id%7 == 3:
-				// Equal-peak ties: the shared maximum lands on a
-				// VM-dependent sample.
-				p = make([]float64, samples)
-				p[id%samples] = 0.75
-				p[(id+5)%samples] = 0.75
-			case id%5 == 4:
-				p = randProfile(src, samples/2) // odd-length rows
-			case id%11 == 10:
-				p = randProfile(src, samples+6) // longer odd rows
-			default:
-				p = randProfile(src, samples)
-			}
-			rows[id] = p
-			ps.Add(id, p)
-		}
-		ps.EnsureOrders(nil)
-		dst := make([]float64, n)
-		js := make([]int, n)
-		for j := range js {
-			js[j] = j
-		}
-		for i := 0; i < n; i++ {
-			ps.CPUCorrInto(dst, i, js)
-			for j := 0; j < n; j++ {
-				want := PeakCoincidence(rows[i], rows[j])
-				if got := ps.CPUCorr(i, j); got != want {
-					t.Fatalf("trial %d: CPUCorr(%d, %d) = %v, want PeakCoincidence %v",
-						trial, i, j, got, want)
+	for _, samples := range []int{1, 3, 5, 12, 13, 97} {
+		t.Run(fmt.Sprintf("samples=%d", samples), func(t *testing.T) {
+			src := rng.New(7).Derive("pruned-kernel")
+			for trial := 0; trial < 25; trial++ {
+				ps := NewProfileSet(samples)
+				n := 8 + src.Intn(24)
+				rows := make([][]float64, n)
+				for id := 0; id < n; id++ {
+					var p []float64
+					switch {
+					case trial == 0 && id < 3:
+						p = make([]float64, samples) // all-zero profiles
+					case id%7 == 3:
+						// Equal-peak ties: the shared maximum lands on a
+						// VM-dependent sample.
+						p = make([]float64, samples)
+						p[id%samples] = 0.75
+						p[(id+5)%samples] = 0.75
+					case id%5 == 4:
+						p = randProfile(src, samples/2) // odd-length rows
+					case id%11 == 10:
+						p = randProfile(src, samples+6) // longer odd rows
+					default:
+						p = randProfile(src, samples)
+					}
+					rows[id] = p
+					ps.Add(id, p)
 				}
-				if dst[j] != want {
-					t.Fatalf("trial %d: CPUCorrInto(%d)[%d] = %v, want %v",
-						trial, i, j, dst[j], want)
+				ps.EnsureOrders(nil)
+				dst := make([]float64, n)
+				js := make([]int, n)
+				for j := range js {
+					js[j] = j
+				}
+				for i := 0; i < n; i++ {
+					ps.CPUCorrInto(dst, i, js)
+					for j := 0; j < n; j++ {
+						want := PeakCoincidence(rows[i], rows[j])
+						if got := ps.CPUCorr(i, j); got != want {
+							t.Fatalf("trial %d: CPUCorr(%d, %d) = %v, want PeakCoincidence %v",
+								trial, i, j, got, want)
+						}
+						if dst[j] != want {
+							t.Fatalf("trial %d: CPUCorrInto(%d)[%d] = %v, want %v",
+								trial, i, j, dst[j], want)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

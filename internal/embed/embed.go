@@ -457,6 +457,7 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg C
 		return f
 	}
 
+	keys := sampleKeys(cfg.SampleK)
 	fx := make([]float64, n)
 	fy := make([]float64, n)
 	var costs []float64
@@ -484,88 +485,68 @@ func runSampled(ids []int, idx map[int]int, px, py []float64, field Field, cfg C
 		// The sampled repulsion estimate writes only fx[i]/fy[i] and reads
 		// only positions frozen for the whole pass, so sharding the points
 		// leaves every accumulation order — and hence every float — exactly
-		// as in the serial loop. With a SplitField, each point's hashed
-		// partners are batched through one RepulsionRow call — hoisting the
-		// point's profile state out of the per-sample loop and skipping the
-		// volume probe Force would pay — except the rare partners that are
-		// attraction peers, which keep the full Force evaluation. Each
-		// repulsion value is a pure per-pair function and the accumulation
-		// below runs in sample order either way, so both paths are
-		// bit-identical.
+		// as in the serial loop. Each point's draws are classified once:
+		// self-draws are dropped, attraction peers (and every partner of a
+		// Force-only field) keep the full Force evaluation, and the rest are
+		// batched through one RepulsionRow call — hoisting the point's
+		// profile state out of the per-sample loop and skipping the volume
+		// probe Force would pay. Each force is a pure per-pair function and
+		// the accumulation runs in sample order either way, so the batching
+		// is bit-identical to per-sample Force calls.
 		par.For(cfg.Workers, n, sampledPointGrain, func(lo, hi int) {
-			var scr *sampleScratch
-			if sf != nil {
-				scr = samplePool.Get().(*sampleScratch)
-				defer samplePool.Put(scr)
-			}
+			scr := samplePool.Get().(*sampleScratch)
+			defer samplePool.Put(scr)
 			for i := lo; i < hi; i++ {
 				att := attracted[i]
-				var rep []float64 // repulsion per non-attracted sample, in sample order
-				var kj []int32
-				if sf != nil {
-					js := scr.js[:0]
-					kj = scr.kj[:0]
-					if len(att) == 0 {
-						// No attraction peers (the common point): every
-						// non-self sample takes the batched repulsion path.
-						for k := 0; k < cfg.SampleK; k++ {
-							j := int32(rng.Hash(cfg.Seed, uint64(i), uint64(iter), uint64(k)) % uint64(n))
-							kj = append(kj, j)
-							if int(j) != i {
-								js = append(js, ids[j])
-							}
-						}
-					} else {
-						for k := 0; k < cfg.SampleK; k++ {
-							j := int32(rng.Hash(cfg.Seed, uint64(i), uint64(iter), uint64(k)) % uint64(n))
-							kj = append(kj, j)
-							if int(j) != i && !containsIdx(att, j) {
-								js = append(js, ids[j])
-							}
-						}
+				pre := rng.Hash(cfg.Seed, uint64(i), uint64(iter))
+				kj := scr.kj[:0]
+				js := scr.js[:0]
+				for _, key := range keys {
+					j := drawPeer(pre, key, n)
+					switch {
+					case j == i: // a point exerts no force on itself
+					case sf == nil || containsIdx(att, int32(j)):
+						kj = append(kj, ^int32(j))
+					default:
+						kj = append(kj, int32(j))
+						js = append(js, ids[j])
 					}
-					if cap(scr.dst) < len(js) {
-						scr.dst = make([]float64, len(js))
-					}
-					rep = scr.dst[:len(js)]
-					sf.RepulsionRow(ids[i], js, rep)
-					scr.js, scr.kj = js, kj
 				}
+				if cap(scr.dst) < len(js) {
+					scr.dst = make([]float64, len(js))
+				}
+				rep := scr.dst[:len(js)]
+				if len(js) > 0 {
+					sf.RepulsionRow(ids[i], js, rep)
+				}
+				scr.kj, scr.js = kj, js
+				xi, yi := px[i], py[i]
+				ax, ay := fx[i], fy[i]
 				cur := 0
-				for k := 0; k < cfg.SampleK; k++ {
-					var j int
+				for _, c := range kj {
+					j := int(c)
 					var f float64
-					if sf != nil {
-						j = int(kj[k])
-						if j == i {
-							continue
-						}
-						if containsIdx(att, int32(j)) {
-							f = field.Force(ids[i], ids[j])
-						} else {
-							f = rep[cur]
-							cur++
-						}
+					if c >= 0 {
+						f = rep[cur]
+						cur++
 					} else {
-						j = int(rng.Hash(cfg.Seed, uint64(i), uint64(iter), uint64(k)) % uint64(n))
-						if j == i {
-							continue
-						}
+						j = int(^c)
 						f = field.Force(ids[i], ids[j])
 					}
 					if f <= 0 {
 						continue // attraction handled exactly above
 					}
-					dx := px[i] - px[j]
-					dy := py[i] - py[j]
+					dx := xi - px[j]
+					dy := yi - py[j]
 					d := math.Sqrt(dx*dx + dy*dy)
 					if d < 1e-9 {
 						ang := rng.Noise01(cfg.Seed, uint64(i), uint64(j), uint64(iter)) * 2 * math.Pi
 						dx, dy, d = math.Cos(ang), math.Sin(ang), 1
 					}
-					fx[i] += f * scale * dx / d
-					fy[i] += f * scale * dy / d
+					ax += f * scale * dx / d
+					ay += f * scale * dy / d
 				}
+				fx[i], fy[i] = ax, ay
 			}
 		})
 		displace(px, py, fx, fy, cfg)
@@ -649,6 +630,24 @@ func displace(px, py, fx, fy []float64, cfg Config) {
 	}
 }
 
+// sampleKeys pre-mixes the sample indices 0..k-1 for drawPeer, once per
+// run instead of once per draw.
+func sampleKeys(k int) []uint64 {
+	keys := make([]uint64, k)
+	for s := range keys {
+		keys[s] = rng.HashKey(uint64(s))
+	}
+	return keys
+}
+
+// drawPeer is the one way the sampled modes draw a hashed peer: sample s of
+// a point in one iteration is drawPeer(rng.Hash(seed, point, iter),
+// sampleKeys(K)[s], n), equal to rng.Hash(seed, point, iter, s) % n but one
+// mix per draw, since the per-point prefix hash is shared by all K draws.
+func drawPeer(pre, key uint64, n int) int {
+	return int(rng.HashExtend(pre, key) % uint64(n))
+}
+
 // containsIdx reports membership in a point's (short) attraction-peer list.
 func containsIdx(s []int32, v int32) bool {
 	for _, x := range s {
@@ -659,9 +658,10 @@ func containsIdx(s []int32, v int32) bool {
 	return false
 }
 
-// sampleScratch pools the sampled pass's per-shard batching buffers: the
-// hashed partner per sample (kj), the compacted non-attracted partner ids
-// (js) and their bulk repulsion values (dst).
+// sampleScratch pools the sampled passes' per-shard batching buffers: the
+// classified non-self draws in sample order (kj: the partner index j for a
+// batched repulsion, ^j for a full Force evaluation), the batched partner
+// ids (js) and their bulk repulsion values (dst).
 type sampleScratch struct {
 	js  []int
 	kj  []int32

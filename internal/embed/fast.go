@@ -71,10 +71,12 @@ func runSampledFast(ids []int, idx map[int]int, px, py []float64, field Field, c
 		ff = make([]float64, n*K)
 	}
 	if !sigOK {
+		keys := sampleKeys(K)
 		par.For(cfg.Workers, n, sampledPointGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				for k := 0; k < K; k++ {
-					kj[i*K+k] = int32(rng.Hash(cfg.Seed, uint64(i), 0, uint64(k)) % uint64(n))
+				pre := rng.Hash(cfg.Seed, uint64(i), 0)
+				for k, key := range keys {
+					kj[i*K+k] = int32(drawPeer(pre, key, n))
 				}
 			}
 		})

@@ -34,6 +34,7 @@ func RefineOne(id int, others []int, pos map[int]Point, field Field, cfg Config,
 	rw := cfg.repulsionWeight(n)
 	scale := float64(n-1) / float64(cfg.SampleK) * rw
 	half := 0.5 * cfg.TimeStep * cfg.TimeStep
+	keys := sampleKeys(cfg.SampleK)
 	for iter := 0; iter < iters; iter++ {
 		var fxv, fyv float64
 		pull := func(q Point, f float64) {
@@ -61,8 +62,9 @@ func RefineOne(id int, others []int, pos map[int]Point, field Field, cfg Config,
 			pull(q, f)
 		}
 		// Sampled repulsion over the rest of the fleet.
-		for k := 0; k < cfg.SampleK; k++ {
-			j := others[rng.Hash(cfg.Seed, uint64(id), uint64(iter), uint64(k))%uint64(len(others))]
+		pre := rng.Hash(cfg.Seed, uint64(id), uint64(iter))
+		for _, key := range keys {
+			j := others[drawPeer(pre, key, len(others))]
 			if j == id || containsPeer(peers, j) {
 				continue // self, or already handled exactly above
 			}

@@ -193,9 +193,9 @@ func (s *Set) Results(scenario, policyName string) []*sim.Result {
 }
 
 // SeedRuns returns one scenario's results in the legacy [][]*Result shape —
-// one row per seed offset, one column per policy — ready for
-// report.Aggregate and report.All. Rows with missing cells keep nil holes
-// removed; a fully-failed row is dropped.
+// one row per seed offset, one column per policy — ready for report.All.
+// Rows with missing cells keep nil holes removed; a fully-failed row is
+// dropped.
 func (s *Set) SeedRuns(scenario string) [][]*sim.Result {
 	si := s.scenarioIndex(scenario)
 	if si < 0 {

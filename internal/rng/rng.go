@@ -175,9 +175,24 @@ func (s *Source) Perm(n int) []int {
 func Hash(keys ...uint64) uint64 {
 	h := uint64(0x2545f4914f6cdd1d)
 	for _, k := range keys {
+		// HashExtend(h, HashKey(k)), written out: the nested calls would
+		// push Noise01 past the compiler's inlining budget.
 		h = mix64(h ^ mix64(k+0x9e3779b97f4a7c15))
 	}
 	return h
+}
+
+// HashKey pre-mixes one key for HashExtend. Hot loops that draw many hashes
+// over a fixed set of trailing keys mix those keys once up front.
+func HashKey(k uint64) uint64 {
+	return mix64(k + 0x9e3779b97f4a7c15)
+}
+
+// HashExtend appends one pre-mixed key (from HashKey) to a hash:
+// HashExtend(Hash(keys...), HashKey(k)) == Hash(keys..., k). Extending a
+// shared prefix costs one mix64 per draw instead of rehashing every key.
+func HashExtend(h, mk uint64) uint64 {
+	return mix64(h ^ mk)
 }
 
 // Noise01 returns a deterministic pseudo-uniform value in [0, 1) keyed by
@@ -202,15 +217,15 @@ func NoiseNorm(keys ...uint64) float64 {
 // drives slowly-varying trace components (e.g. cloud cover) where white
 // noise would be unphysical.
 //
-// It is allocation-free: the lattice hashes fold the x0 key onto the
-// incrementally-hashed prefix instead of building key slices, producing the
+// It is allocation-free: the lattice hashes extend the hashed prefix with
+// the x0 key (HashExtend) instead of building key slices, producing the
 // same values as Noise01(keys..., x0).
 func SmoothNoise(x float64, keys ...uint64) float64 {
 	x0 := math.Floor(x)
 	t := x - x0
 	h := Hash(keys...)
-	h0 := mix64(h ^ mix64(uint64(int64(x0))+0x9e3779b97f4a7c15))
-	h1 := mix64(h ^ mix64(uint64(int64(x0)+1)+0x9e3779b97f4a7c15))
+	h0 := HashExtend(h, HashKey(uint64(int64(x0))))
+	h1 := HashExtend(h, HashKey(uint64(int64(x0)+1)))
 	a := float64(h0>>11) / (1 << 53)
 	b := float64(h1>>11) / (1 << 53)
 	// Cosine ease curve keeps the derivative continuous at lattice points.

@@ -263,6 +263,26 @@ func TestSmoothNoiseMatchesLatticeAtIntegers(t *testing.T) {
 	}
 }
 
+// TestHashExtendMatchesHash checks the prefix-extension identity the hot
+// sampling loops rely on: extending Hash(a, b, c) by a pre-mixed key equals
+// hashing all four keys, for random and edge-case keys.
+func TestHashExtendMatchesHash(t *testing.T) {
+	src := New(5).Derive("hash-extend")
+	edge := []uint64{0, 1, math.MaxUint64, 0x9e3779b97f4a7c15, -0x9e3779b97f4a7c15 & math.MaxUint64}
+	for trial := 0; trial < 2000; trial++ {
+		a, b, c, k := src.Uint64(), src.Uint64(), src.Uint64(), src.Uint64()
+		if trial < len(edge) {
+			k = edge[trial]
+		}
+		if trial%3 == 0 {
+			a, b, c = uint64(trial), 0, uint64(trial%7)
+		}
+		if got, want := HashExtend(Hash(a, b, c), HashKey(k)), Hash(a, b, c, k); got != want {
+			t.Fatalf("HashExtend(Hash(%d, %d, %d), HashKey(%d)) = %#x, want %#x", a, b, c, k, got, want)
+		}
+	}
+}
+
 func TestIntnPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
